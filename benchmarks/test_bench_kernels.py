@@ -16,10 +16,8 @@ Measurements, written machine-readably to ``BENCH_kernels.json``:
   best leaf time is the headline ``cold_cell_s`` (compared to the pre-PR
   wall time for the ≥3x acceptance number; ``pr4_cold_cell_s`` keeps the
   warm-pool PR's reference so the trend stays visible), and the
-  per-backend table — including the ``cold_cell_fused_s`` rows — is the
-  calibration the adaptive planner seeds its kernel-backend and
-  fused-vs-leaf picks from, guarded by the measuring host's
-  fingerprint, so calibration never transfers across machines.  Each
+  per-backend table — including the ``cold_cell_fused_s`` rows — is
+  recorded with the measuring host's fingerprint.  Each
   backend's same-run ``fused_speedup`` (leaf/fused) is asserted loudly
   against MIN_FUSED_SPEEDUP so a fused-path regression >20% fails CI
   instead of just flipping a recorded flag.
@@ -63,9 +61,8 @@ from conftest import OUT_DIR
 
 #: Bump when a field is renamed or its meaning changes; additions are free.
 #: v2: per-backend ``backends`` cold-cell table + measuring ``host``
-#: fingerprint (the planner's kernel calibration source).
-#: v3: per-backend ``cold_cell_fused_s`` / ``fused_speedup`` rows (the
-#: fused write-phase calibration ``decide_fused`` seeds from) plus
+#: fingerprint.
+#: v3: per-backend ``cold_cell_fused_s`` / ``fused_speedup`` rows plus
 #: top-level ``fused_<backend>_speedup`` ratio gates.
 SCHEMA_VERSION = 3
 
@@ -92,9 +89,7 @@ COLD_CELL_TARGET_S = 0.20
 #: kernel may cost at most 20% over the leaf path it replaces.  On the
 #: 1-CPU bench host fused roughly breaks even (per-call ctypes argument
 #: marshalling is the floor), so this catches a real fused-path
-#: regression without asserting a win it does not have on every host;
-#: where fused measures faster, the planner's ``auto`` mode picks it up
-#: from the ``cold_cell_fused_s`` calibration rows.
+#: regression without asserting a win it does not have on every host.
 MIN_FUSED_SPEEDUP = 0.8
 MIN_POPCOUNT_SPEEDUP = 2.0
 MIN_SAMPLE_SPEEDUP = 1.2
@@ -283,9 +278,8 @@ def _bench_cold_cell(tmp_path) -> dict:
     Each backend is timed both with the leaf write-phase samplers and
     with the fused write-phase kernel forced on.  Byte-identity across
     every backend × mode combination is a hard gate; the per-backend
-    times become the ``backends`` calibration table the adaptive planner
-    seeds its kernel and fused-vs-leaf picks from (host-fingerprint
-    guarded), and each same-run ``fused_speedup`` is asserted against
+    times become the ``backends`` table (host-fingerprint stamped), and
+    each same-run ``fused_speedup`` is asserted against
     MIN_FUSED_SPEEDUP so a fused regression fails loudly.
     """
     from repro.pcm import kernels

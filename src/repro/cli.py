@@ -86,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("auto", "python", "numpy", "compiled"),
         default=None,
         help="bit-kernel backend (default REPRO_KERNEL_BACKEND or auto: "
-        "the planner picks the cheapest backend available on this host)",
+        "compiled when it builds on this host, else python)",
     )
 
     cache_p = sub.add_parser("cache", help="inspect or clear the result cache")
@@ -147,8 +147,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--kernel-backend",
         choices=("auto", "python", "numpy", "compiled"),
         default="auto",
-        help="bit-kernel backend to profile under (auto: the planner's "
-        "pick for this host)",
+        help="bit-kernel backend to profile under (auto: compiled when it "
+        "builds on this host, else python)",
     )
 
     serve_p = sub.add_parser(
@@ -399,10 +399,9 @@ def _cmd_perf_profile(args: argparse.Namespace) -> int:
     spec = CellSpec(bench=args.workload, length=args.length, config=config)
 
     if args.kernel_backend == "auto":
-        backend_name = PLANNER.decide_kernel(kernels.available_backends())
+        backend = kernels.activate_preferred("compiled")
     else:
-        backend_name = args.kernel_backend
-    backend = kernels.activate(backend_name)
+        backend = kernels.activate(args.kernel_backend)
     flavor = getattr(backend, "flavor", None)
     backend_label = (
         f"{backend.name} ({flavor})" if flavor else backend.name
@@ -463,13 +462,9 @@ def _cmd_perf_profile(args: argparse.Namespace) -> int:
         + f"; batched: {STATS.batched_cells} cells in "
         f"{STATS.batch_dispatches} dispatches"
     )
-    kernel_costs = PLANNER.kernel_snapshot()
     print(
-        "kernel model (s/cell): "
-        + ", ".join(
-            f"{name}={cost:.3f}" for name, cost in kernel_costs.items()
-        )
-        + f"; available: {'/'.join(kernels.available_backends())}"
+        f"kernels: {backend_label}; "
+        f"available: {'/'.join(kernels.available_backends())}"
     )
     return 0
 

@@ -27,7 +27,7 @@ Knobs parsed here:
                        ``compiled`` (auto)
 ``REPRO_KERNEL_CC``    C compiler for the compiled kernel backend (PATH search)
 ``REPRO_KERNEL_FUSED`` fused write-phase kernels: ``auto``/``on``/``off``
-                       (auto — planner decides per batch)
+                       (auto — the per-leaf path, as ``off``)
 ``REPRO_HEARTBEAT_S``  watchdog heartbeat window, seconds (float >= 0; off)
 ``REPRO_MEM_BUDGET_MB`` soft RSS budget, MiB (int >= 0; off)
 ``REPRO_BREAKER_THRESHOLD`` consecutive failures before a circuit breaker
@@ -212,8 +212,9 @@ KERNEL_BACKENDS = ("auto", "python", "numpy", "compiled")
 def kernel_backend() -> str:
     """Bit-kernel backend selection (``REPRO_KERNEL_BACKEND``, default ``auto``).
 
-    ``auto`` lets the adaptive planner pick per batch from the backends
-    available on this host; ``python``, ``numpy``, and ``compiled``
+    ``auto`` takes ``compiled`` when it builds on this host (and the
+    ``kernel`` circuit breaker allows it), else ``python``; ``python``,
+    ``numpy``, and ``compiled``
     force that backend (forcing ``compiled`` on a host where it cannot
     build is an error rather than a silent degrade).
     """
@@ -349,8 +350,7 @@ def kernel_fused() -> str:
 
     ``on`` forces every demand write through the fused
     ``write_phase_batch`` kernel; ``off`` forces the per-leaf path;
-    ``auto`` (unset) defers to the planner's measured fused-vs-leaf
-    costs.  Common boolean spellings alias onto ``on``/``off`` so CI can
+    ``auto`` (unset) takes the per-leaf path, like ``off``.  Common boolean spellings alias onto ``on``/``off`` so CI can
     say ``REPRO_KERNEL_FUSED=1``.
     """
     raw = os.environ.get("REPRO_KERNEL_FUSED")

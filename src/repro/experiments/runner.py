@@ -8,6 +8,7 @@ Usage::
     python -m repro.experiments.runner --json out figure11   # + JSON export
     python -m repro.experiments.runner --resume         # continue a sweep
     python -m repro.experiments.runner --no-pipeline    # strictly sequential
+    python -m repro.experiments.runner --help           # options, experiments
     REPRO_TRACE_LEN=4000 python -m repro.experiments.runner
 
 Timing-simulation experiments scale with REPRO_TRACE_LEN; the analytic ones
@@ -219,6 +220,29 @@ def collect_sweep_specs(names: List[str]) -> List[object]:
     return collected
 
 
+def usage() -> str:
+    """The ``--help`` text: options and the known experiment names."""
+    return (
+        "usage: python -m repro.experiments.runner [options] [experiment ...]\n"
+        "\n"
+        "Runs the named experiments (all of them when none is named) and\n"
+        "prints each table.\n"
+        "\n"
+        "options:\n"
+        "  -h, --help             show this message and exit\n"
+        "  --jobs N               worker processes for cold cells (REPRO_JOBS)\n"
+        "  --json DIR             also write each table as DIR/<name>.json\n"
+        "  --resume               skip experiments a previous sweep finished\n"
+        "  --no-pipeline          no cross-experiment prefetch\n"
+        f"  --plan MODE            {'/'.join(envconfig.PLAN_MODES)}\n"
+        "  --batch-cells N        cells per batched dispatch\n"
+        "  --kernel-backend NAME  "
+        f"{'/'.join(envconfig.KERNEL_BACKENDS)}\n"
+        "\n"
+        f"experiments: {' '.join(EXPERIMENTS)}\n"
+    )
+
+
 def main(argv: list[str]) -> int:
     json_dir = None
     jobs = None
@@ -231,6 +255,9 @@ def main(argv: list[str]) -> int:
     argv = list(argv)
     while argv:
         arg = argv.pop(0)
+        if arg in ("-h", "--help"):
+            print(usage(), end="")
+            return 0
         if arg == "--resume":
             resume = True
         elif arg == "--no-pipeline":

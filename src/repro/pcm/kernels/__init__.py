@@ -8,8 +8,9 @@ implementations (see :mod:`.base` for the contract):
 >>> active().popcount_rows(rows)
 
 ``active()`` defaults to the pure-Python reference backend; the
-execution layer (:mod:`repro.perf.engine`) activates the planner's
-per-batch choice in the parent and in every pool worker.  Construction
+execution layer (:mod:`repro.perf.engine`) activates its per-batch
+choice — under ``auto``, compiled when it builds, else python — in the
+parent and in every pool worker.  Construction
 is lazy and memoised: asking for ``compiled`` the first time may
 trigger a (cached) C build; hosts where that fails — no compiler, no
 numba — see :class:`BackendUnavailable` from :func:`get_backend`, while
@@ -132,7 +133,7 @@ def active_name() -> str:
 
 
 def set_fused(enabled: bool) -> None:
-    """Record the planner's per-batch fused-path decision for this process.
+    """Record the engine's per-batch fused-path decision for this process.
 
     Like :func:`activate`, the execution layer calls this in the parent
     and in every pool worker before advancing a chunk; executors read it
@@ -146,7 +147,7 @@ def fused_active() -> bool:
     """Whether demand writes should take the fused write-phase kernel.
 
     ``REPRO_KERNEL_FUSED=on``/``off`` overrides unconditionally; under
-    ``auto`` (the default) this reports the planner's last
+    ``auto`` (the default) this reports the engine's last
     :func:`set_fused` decision — ``False`` until anything decides.
     """
     from ... import envconfig

@@ -32,6 +32,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from ...config import LINE_BITS, LINE_WORDS, LINES_PER_PAGE
 from ...errors import ReproError
 
 
@@ -53,15 +54,21 @@ class BackendUnavailable(ReproError, RuntimeError):
 class KernelBackend:
     """Dispatch interface for the hot bit-kernels.
 
-    Subclasses override the kernels they accelerate; the base class has
-    no default implementations (each backend states its full surface
-    explicitly so equivalence tests cover every method of every
+    Subclasses override the kernels they accelerate; the bit kernels
+    have no default implementations (each backend states its full
+    surface explicitly so equivalence tests cover every method of every
     backend).  Method names mirror the :mod:`repro.pcm.line` /
-    :class:`repro.pcm.din.DINEncoder` functions they replace.
+    :class:`repro.pcm.din.DINEncoder` functions they replace.  The
+    seeded state generators default to numpy's own recipe, which is
+    their oracle.
     """
 
     #: Registry name ("python" / "numpy" / "compiled").
     name: str = "base"
+
+    #: Whether :meth:`seeded_row` / :meth:`seeded_mask` run natively
+    #: rather than through the numpy recipe.
+    native_seeding: bool = False
 
     # -- disturbance sampling ----------------------------------------------------
 
@@ -160,6 +167,25 @@ class KernelBackend:
         compare and the pack in one pass.
         """
         return self.pack_mask((draws < threshold).astype(np.uint8))
+
+    # -- seeded state generation --------------------------------------------
+
+    def seeded_row(self, key: Tuple[int, ...]) -> np.ndarray:
+        """A row's pristine image: ``default_rng(key)``'s full-range words.
+
+        ``(LINES_PER_PAGE, LINE_WORDS)`` uint64, drawn as one
+        ``integers(0, 1 << 64)`` call.
+        """
+        rng = np.random.default_rng(key)
+        return rng.integers(
+            0, 1 << 64, size=(LINES_PER_PAGE, LINE_WORDS), dtype=np.uint64
+        )
+
+    def seeded_mask(self, key: Tuple[int, ...], fraction: float) -> int:
+        """Int mask, bit ``i`` set where ``default_rng(key)``'s i-th
+        ``random()`` draw is below ``fraction`` (``LINE_BITS`` draws)."""
+        rng = np.random.default_rng(key)
+        return self.mask_from_draws(rng.random(LINE_BITS), fraction)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<KernelBackend {self.name}>"

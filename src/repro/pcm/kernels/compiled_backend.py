@@ -13,6 +13,10 @@ headers, no setuptools machinery at runtime.  Resolution order:
 4. the **numba** flavour (``_numba_kernels``) when no C toolchain
    exists but numba is importable.
 
+A library built or loaded in steps 2–3 is kept for the whole process,
+keyed by source hash and compiler: pointing ``REPRO_CACHE_DIR`` at a
+new directory reuses it rather than compiling again.
+
 If every flavour fails, construction raises
 :class:`~.base.BackendUnavailable` and the registry degrades to the
 pure-Python backend.
@@ -25,13 +29,21 @@ numpy SIMD call is already optimal (``popcount_rows``, the flag-expand
 XOR of ``decode_int``) stay on the numpy implementations; C is used
 where per-bit Python loops or per-byte LUT walks dominate.
 
+The C flavour also generates the state plane's seeded state
+(:meth:`CompiledBackend.seeded_row` / :meth:`~CompiledBackend.seeded_mask`)
+with numpy's SeedSequence -> PCG64 recipe re-implemented bit for bit;
+keys it does not cover (a word outside ``[0, 2**32)``), the numba
+flavour and C compilers without ``__int128`` keep the numpy recipe.
+
 **Crash containment**: RNG draws always happen in Python *before* the
 native call, so when a compiled kernel raises at runtime the backend
 retires itself (one warning), recomputes the result from the
 already-drawn keep flags with the pure-Python scatter — byte-identical,
 stream-identical — and delegates every later call to the Python
-backend.  A compiled-kernel failure can therefore never corrupt a
-result or desynchronise an RNG stream.
+backend.  The seeded generators draw from no caller stream at all, so
+their fallback simply reruns the numpy recipe.  A compiled-kernel
+failure can therefore never corrupt a result or desynchronise an RNG
+stream.
 """
 
 from __future__ import annotations
@@ -44,12 +56,12 @@ import struct
 import subprocess
 import warnings
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ... import envconfig
-from ...config import LINE_BITS, LINE_BYTES, LINE_WORDS
+from ...config import LINE_BITS, LINE_BYTES, LINE_WORDS, LINES_PER_PAGE
 from .. import din as D
 from .. import line as L
 from . import rngplane
@@ -58,14 +70,21 @@ from .python_backend import PythonBackend
 
 #: Expected ``sd_abi_version()`` of a loadable library.  Bumped to 2 for
 #: the fused write-phase entry points (``sd_write_stage`` /
-#: ``sd_write_apply``); older cached libraries fail the probe and are
-#: rebuilt from source.
-_ABI_VERSION = 2
+#: ``sd_write_apply``) and to 3 for the seeded generators
+#: (``sd_seeded_row`` / ``sd_weak_mask``); older libraries fail the
+#: probe and are rebuilt from source.
+_ABI_VERSION = 3
+
+#: uint64 words in one pristine row image.
+_ROW_WORDS = LINES_PER_PAGE * LINE_WORDS
 
 #: Native-order int32 packer for the single-request fused fast path.
 _PACK_I = struct.Struct("=i").pack
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
+
+#: Libraries loaded from builds, by (source hash, compiler).
+_BUILT: Dict[Tuple[str, Optional[str]], ctypes.CDLL] = {}
 
 
 def _find_compiler() -> Optional[str]:
@@ -89,15 +108,26 @@ def _prebuilt_library() -> Optional[Path]:
     return None
 
 
-def _build_library() -> Path:
+def _built_library() -> ctypes.CDLL:
+    """The loaded build of ``_kernels.c``, compiled at most once per process.
+
+    Keyed by source hash and compiler (``REPRO_KERNEL_CC`` pointed at a
+    non-compiler must still fail on a cold cache), not by cache dir.
+    """
+    digest = hashlib.sha256(_SOURCE.read_bytes()).hexdigest()[:12]
+    cc = _find_compiler()
+    lib = _BUILT.get((digest, cc))
+    if lib is None:
+        lib = _BUILT[(digest, cc)] = _load_library(_build_library(digest, cc))
+    return lib
+
+
+def _build_library(digest: str, cc: Optional[str]) -> Path:
     """Compile ``_kernels.c`` into the cache dir (content-addressed)."""
-    source = _SOURCE.read_bytes()
-    digest = hashlib.sha256(source).hexdigest()[:12]
     out_dir = envconfig.cache_dir() / "kernels"
     out = out_dir / f"sd_kernels_{digest}.so"
     if out.exists():
         return out
-    cc = _find_compiler()
     if cc is None:
         raise BackendUnavailable(
             "no C compiler found (set REPRO_KERNEL_CC or install cc/gcc/clang)"
@@ -170,6 +200,18 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.sd_write_stage.restype = None
     lib.sd_write_apply.argtypes = [p, p, p, p, d, d, i, i, i, i, p, p]
     lib.sd_write_apply.restype = None
+    if hasattr(lib, "sd_weak_mask"):  # absent without __int128
+        u = ctypes.c_uint32
+        lib.sd_seeded_row.argtypes = [u, u, u, p, i]
+        lib.sd_seeded_row.restype = None
+        lib.sd_weak_mask.argtypes = [u, u, u, u, d, i, p]
+        lib.sd_weak_mask.restype = None
+
+
+def _wide(bits: int) -> bool:
+    """Whether the OR of a key's words leaves the one-word SeedSequence
+    range ``[0, 2**32)``: a negative word makes the OR negative too."""
+    return bits >> 32 != 0
 
 
 class _COps:
@@ -196,6 +238,12 @@ class _COps:
         self._pos_buf = ctypes.create_string_buffer(LINE_BITS * 4)
         self._pos_addr = ctypes.addressof(self._pos_buf)
         self._pos_view = np.frombuffer(self._pos_buf, np.int32)
+        self.seeded = hasattr(lib, "sd_weak_mask")
+        self._row_buf = ctypes.create_string_buffer(_ROW_WORDS * 8)
+        self._row_addr = ctypes.addressof(self._row_buf)
+        self._row_view = np.frombuffer(self._row_buf, np.uint64).reshape(
+            LINES_PER_PAGE, LINE_WORDS
+        )
         # Reusable fused write-phase arena, grown on demand.  The hot
         # shape is one request with a couple of victims per call, so
         # per-call buffer allocation would dominate the native work.
@@ -288,6 +336,18 @@ class _COps:
         self._lib.sd_bit_positions(buf, len(buf), self._pos_addr)
         return self._pos_view[:count].tolist()
 
+    def seeded_row(self, k0: int, k1: int, k2: int) -> np.ndarray:
+        self._lib.sd_seeded_row(k0, k1, k2, self._row_addr, _ROW_WORDS)
+        return self._row_view.copy()
+
+    def seeded_mask(
+        self, k0: int, k1: int, k2: int, k3: int, fraction: float
+    ) -> bytes:
+        self._lib.sd_weak_mask(
+            k0, k1, k2, k3, fraction, LINE_BITS, self._line_addr
+        )
+        return self._line_buf.raw
+
     def write_stage(
         self,
         stored: bytes,
@@ -354,6 +414,7 @@ class _NumbaOps:
     """Same bytes veneer over the ``@njit`` kernels (numba flavour)."""
 
     flavor = "numba"
+    seeded = False
 
     def __init__(self, mod) -> None:
         self._mod = mod
@@ -482,7 +543,7 @@ def _make_ops():
         except BackendUnavailable as exc:
             reasons.append(str(exc))
     try:
-        return _COps(_load_library(_build_library()))
+        return _COps(_built_library())
     except BackendUnavailable as exc:
         reasons.append(str(exc))
     try:
@@ -504,6 +565,7 @@ class CompiledBackend(KernelBackend):
         self._ops = _make_ops()
         self._py = PythonBackend()
         self._dead = False
+        self._seeded = self._ops.seeded
 
     @property
     def flavor(self) -> str:
@@ -514,6 +576,10 @@ class CompiledBackend(KernelBackend):
     def dead(self) -> bool:
         """True once a runtime failure retired the native kernels."""
         return self._dead
+
+    @property
+    def native_seeding(self) -> bool:
+        return self._seeded and not self._dead
 
     def _retire(self, exc: BaseException) -> None:
         if not self._dead:
@@ -759,6 +825,34 @@ class CompiledBackend(KernelBackend):
             ))
             k += nv
         return results
+
+    # -- seeded state generation --------------------------------------------
+
+    def seeded_row(self, key: Tuple[int, ...]) -> np.ndarray:
+        if not self.native_seeding or len(key) != 3:
+            return super().seeded_row(key)
+        k0, k1, k2 = key
+        if _wide(k0 | k1 | k2):
+            return super().seeded_row(key)
+        try:
+            return self._ops.seeded_row(k0, k1, k2)
+        except Exception as exc:
+            self._retire(exc)
+            return super().seeded_row(key)
+
+    def seeded_mask(self, key: Tuple[int, ...], fraction: float) -> int:
+        if not self.native_seeding or len(key) != 4:
+            return super().seeded_mask(key, fraction)
+        k0, k1, k2, k3 = key
+        if _wide(k0 | k1 | k2 | k3):
+            return super().seeded_mask(key, fraction)
+        fraction = float(fraction)
+        try:
+            out = self._ops.seeded_mask(k0, k1, k2, k3, fraction)
+        except Exception as exc:
+            self._retire(exc)
+            return super().seeded_mask(key, fraction)
+        return int.from_bytes(out, "little")
 
     # -- counting / positions ----------------------------------------------------
 

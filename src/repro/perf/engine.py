@@ -461,7 +461,7 @@ class CellRunner:
         if self.jobs <= 1:
             return 0
         kernel = self._resolve_kernel()
-        fused = self._resolve_fused(kernel)
+        fused = self._resolve_fused()
         hb = self._heartbeat_handle()
         submitted = 0
         seen: set = set()
@@ -539,7 +539,7 @@ class CellRunner:
         # name/flag to every pool worker.
         kernel = self._resolve_kernel()
         kernels.activate(kernel)
-        fused = self._resolve_fused(kernel)
+        fused = self._resolve_fused()
         kernels.set_fused(fused)
         pool_alive = WARM_POOL.alive
         start = time.monotonic()
@@ -561,7 +561,6 @@ class CellRunner:
             PLANNER.observe(
                 "pool_warm" if pool_alive else "pool_cold", len(specs), wall
             )
-        PLANNER.observe_kernel(kernel, len(specs), wall, fused=fused)
         self._observe_kernel_health(kernel)
         return out
 
@@ -596,43 +595,35 @@ class CellRunner:
         A forced backend (``REPRO_KERNEL_BACKEND`` / ``kernel_backend=``)
         is honoured outright — forcing one that cannot be constructed on
         this host raises :class:`~repro.pcm.kernels.BackendUnavailable`
-        rather than silently degrading.  ``auto`` asks the planner for
-        the cheapest of the backends constructible here (pure Python when
-        nothing else builds) and records the pick — unless the ``kernel``
-        circuit breaker is open, in which case ``auto`` routes straight
-        to the byte-identical pure-Python reference until the breaker's
-        half-open probe lets a native backend try again.
+        rather than silently degrading.  ``auto`` takes the compiled
+        backend when it constructs here and the ``kernel`` circuit
+        breaker allows it, else the byte-identical pure-Python
+        reference, and records the pick.  No per-backend cost model:
+        cells differ too much in size for per-cell seconds to compare
+        backends, and compiled wins wherever it builds.
         """
         if self.kernel_backend != "auto":
             kernels.get_backend(self.kernel_backend)  # raise if unavailable
             return self.kernel_backend
-        if not breaker_mod.breaker("kernel").allow():
-            STATS.kernel_python_picks += 1
-            return "python"
-        name = PLANNER.decide_kernel(kernels.available_backends())
-        if name == "python":
-            STATS.kernel_python_picks += 1
-        elif name == "numpy":
-            STATS.kernel_numpy_picks += 1
-        else:
-            STATS.kernel_compiled_picks += 1
-        return name
+        if breaker_mod.breaker("kernel").allow():
+            try:
+                kernels.get_backend("compiled")
+            except kernels.BackendUnavailable:
+                pass
+            else:
+                STATS.kernel_compiled_picks += 1
+                return "compiled"
+        STATS.kernel_python_picks += 1
+        return "python"
 
-    def _resolve_fused(self, kernel: str) -> bool:
+    @staticmethod
+    def _resolve_fused() -> bool:
         """Whether the next cold batch takes the fused write-phase path.
 
-        ``REPRO_KERNEL_FUSED=on``/``off`` overrides outright; ``auto``
-        asks the planner whether ``kernel``'s fused cost row beats its
-        leaf row on this host.  Both paths are byte-identical, so — like
-        the backend pick — this is pure performance.
+        Only when ``REPRO_KERNEL_FUSED=on``: the per-leaf path is the
+        default (``auto``/``off``).  Both paths are byte-identical.
         """
-        mode = envconfig.kernel_fused()
-        if mode == "on":
-            fused = True
-        elif mode == "off":
-            fused = False
-        else:
-            fused = PLANNER.decide_fused(kernel)
+        fused = envconfig.kernel_fused() == "on"
         if fused:
             STATS.kernel_fused_picks += 1
         return fused

@@ -33,15 +33,13 @@ The planner only advises ``auto`` mode; ``REPRO_PLAN=serial/pool/batch``
 (or ``CellRunner(plan=...)``) bypasses it entirely, which is what the
 pool-machinery and chaos tests use to stay deterministic.
 
-The same machinery picks the **bit-kernel backend** per cold batch: a
-per-backend cost model seeded from the committed ``BENCH_kernels.json``
-(schema v2) and refined by online EWMA observations; every backend is
-byte-identical, so the choice is pure performance.  Committed baselines
-are trusted only when their recorded :func:`host_fingerprint` matches
-this machine's — calibration from a different CPU count or architecture
-is silently ignored.  ``REPRO_KERNEL_BACKEND=python/numpy/compiled``
-bypasses the kernel decision the same way ``REPRO_PLAN`` bypasses the
-mode decision.
+Committed baselines are trusted only when their recorded
+:func:`host_fingerprint` matches this machine's — calibration from a
+different CPU count or architecture is silently ignored.
+
+The bit-kernel backend is not costed here: ``auto`` takes the compiled
+backend whenever it constructs (see
+:meth:`repro.perf.engine.CellRunner._resolve_kernel`).
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ import os
 import platform
 import sys
 from pathlib import Path
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 _LOG = logging.getLogger("repro.perf.planner")
 
@@ -73,37 +71,6 @@ DEFAULT_COSTS = {
 #: The committed calibration baseline (repo root, checked in by the
 #: pool benchmark).  Missing or malformed files are simply ignored.
 CALIBRATION_FILE = "BENCH_pool.json"
-
-#: Conservative per-cell seconds per kernel backend, used before any
-#: calibration or observation exists.  Ordered so ``auto`` prefers the
-#: compiled backend when it is available — the committed
-#: BENCH_kernels.json numbers show the compiled scatter/LUT loops
-#: beating the big-int reference on every measured host — with numpy
-#: between the two.
-KERNEL_DEFAULT_COSTS = {
-    "python": 0.090,
-    "numpy": 0.088,
-    "compiled": 0.078,
-}
-
-#: Conservative per-cell seconds per backend on the **fused**
-#: write-phase path, used before calibration or observation exists.
-#: Fusing pays off where it removes native-call round trips, so the
-#: defaults make ``auto`` try fused only on the compiled backend; the
-#: interpreted backends start slightly above their leaf costs (the
-#: fused reference adds Python driver overhead) and earn the fused pick
-#: only by measuring faster on this host.
-KERNEL_FUSED_DEFAULT_COSTS = {
-    "python": 0.095,
-    "numpy": 0.092,
-    "compiled": 0.060,
-}
-
-#: The committed kernel calibration baseline (repo root, schema v3:
-#: carries per-backend leaf and fused cold-cell timings and the
-#: measuring host's fingerprint).
-KERNEL_CALIBRATION_FILE = "BENCH_kernels.json"
-
 
 def host_fingerprint() -> Dict[str, object]:
     """The calibration-relevance fingerprint of this host.
@@ -140,10 +107,10 @@ def fingerprint_matches(recorded: object) -> bool:
     )
 
 
-def _repo_root(filename: str = CALIBRATION_FILE) -> Optional[Path]:
+def _repo_root() -> Optional[Path]:
     """The repository root, when running from a source checkout."""
     root = Path(__file__).resolve().parents[3]
-    return root if (root / filename).exists() else None
+    return root if (root / CALIBRATION_FILE).exists() else None
 
 
 class AdaptivePlanner:
@@ -153,12 +120,6 @@ class AdaptivePlanner:
         self._costs: Dict[str, float] = dict(DEFAULT_COSTS)
         self._observed: Dict[str, int] = {}
         self._seeded = False
-        self._kernel_costs: Dict[str, float] = dict(KERNEL_DEFAULT_COSTS)
-        self._kernel_fused_costs: Dict[str, float] = dict(
-            KERNEL_FUSED_DEFAULT_COSTS
-        )
-        self._kernel_observed: Dict[str, int] = {}
-        self._kernel_seeded = False
 
     # -- calibration -------------------------------------------------------
 
@@ -206,55 +167,6 @@ class AdaptivePlanner:
             self._seeded = True
             self.seed_from_file()
 
-    def seed_kernels_from_file(self, path: Optional[Path] = None) -> bool:
-        """Seed per-backend kernel costs from BENCH_kernels.json (v3).
-
-        The schema carries a ``backends`` table of per-backend cold-cell
-        seconds — leaf (``cold_cell_s``) and, since v3, fused
-        (``cold_cell_fused_s``) — plus the measuring host's fingerprint;
-        baselines from a materially different host are ignored (the
-        defaults plus online EWMA take over).  Returns whether anything
-        was loaded.
-        """
-        if path is None:
-            root = _repo_root(KERNEL_CALIBRATION_FILE)
-            if root is None:
-                return False
-            path = root / KERNEL_CALIBRATION_FILE
-        try:
-            payload = json.loads(Path(path).read_text())
-        except (OSError, ValueError):
-            _LOG.debug("no usable kernel calibration at %s", path,
-                       exc_info=True)
-            return False
-        if not fingerprint_matches(payload.get("host")):
-            _LOG.debug(
-                "ignoring kernel calibration at %s: host fingerprint "
-                "differs", path,
-            )
-            return False
-        backends = payload.get("backends")
-        if not isinstance(backends, dict):
-            return False
-        loaded = False
-        for name, entry in backends.items():
-            if name not in self._kernel_costs or not isinstance(entry, dict):
-                continue
-            value = entry.get("cold_cell_s")
-            if isinstance(value, (int, float)) and value > 0:
-                self._kernel_costs[name] = float(value)
-                loaded = True
-            fused = entry.get("cold_cell_fused_s")
-            if isinstance(fused, (int, float)) and fused > 0:
-                self._kernel_fused_costs[name] = float(fused)
-                loaded = True
-        return loaded
-
-    def _ensure_kernel_seeded(self) -> None:
-        if not self._kernel_seeded:
-            self._kernel_seeded = True
-            self.seed_kernels_from_file()
-
     # -- the cost model ----------------------------------------------------
 
     def cost(self, mode: str) -> float:
@@ -273,35 +185,6 @@ class AdaptivePlanner:
             EWMA_ALPHA * per_cell + (1.0 - EWMA_ALPHA) * previous
         )
         self._observed[mode] = self._observed.get(mode, 0) + 1
-
-    def kernel_cost(self, backend: str, fused: bool = False) -> float:
-        """Current per-cell seconds estimate for a kernel backend.
-
-        ``fused`` selects the fused write-phase cost row; leaf and fused
-        are modelled independently per backend because fusing shifts
-        where time goes (call overhead vs Python driver work) and the
-        ratio differs across backends.
-        """
-        self._ensure_kernel_seeded()
-        if fused:
-            return self._kernel_fused_costs[backend]
-        return self._kernel_costs[backend]
-
-    def observe_kernel(
-        self, backend: str, cells: int, seconds: float, fused: bool = False
-    ) -> None:
-        """Fold one batch run under ``backend`` into its cost (EWMA)."""
-        if cells < 1 or seconds < 0 or backend not in self._kernel_costs:
-            return
-        self._ensure_kernel_seeded()
-        costs = self._kernel_fused_costs if fused else self._kernel_costs
-        per_cell = seconds / cells
-        previous = costs[backend]
-        costs[backend] = (
-            EWMA_ALPHA * per_cell + (1.0 - EWMA_ALPHA) * previous
-        )
-        key = f"{backend}_fused" if fused else backend
-        self._kernel_observed[key] = self._kernel_observed.get(key, 0) + 1
 
     # -- decisions ---------------------------------------------------------
 
@@ -345,39 +228,6 @@ class AdaptivePlanner:
         )
         return best[0]
 
-    def decide_kernel(self, available: Sequence[str]) -> str:
-        """Pick the cheapest kernel backend among ``available``.
-
-        ``available`` is the registry's constructible-backends tuple for
-        this host, so a machine with no compiler and no numba degrades
-        to the pure-Python reference without any special casing here.
-        Each backend is costed at the cheaper of its leaf and fused
-        write-phase rows (:meth:`decide_fused` then says which row won).
-        """
-        self._ensure_kernel_seeded()
-        candidates = [name for name in available if name in self._kernel_costs]
-        if not candidates:
-            return "python"
-        return min(
-            candidates,
-            key=lambda name: min(
-                self._kernel_costs[name], self._kernel_fused_costs[name]
-            ),
-        )
-
-    def decide_fused(self, backend: str) -> bool:
-        """Whether ``backend`` should take the fused write-phase path.
-
-        True exactly when the backend's fused cost row measures (or
-        defaults) below its leaf row — the fused pick has to *earn* its
-        dispatch on this host, so a fused regression steers ``auto``
-        back to the per-leaf path within a few EWMA observations.
-        """
-        self._ensure_kernel_seeded()
-        if backend not in self._kernel_costs:
-            return False
-        return self._kernel_fused_costs[backend] < self._kernel_costs[backend]
-
     # -- bookkeeping -------------------------------------------------------
 
     def snapshot(self) -> Dict[str, float]:
@@ -385,27 +235,11 @@ class AdaptivePlanner:
         self._ensure_seeded()
         return dict(self._costs)
 
-    def kernel_snapshot(self) -> Dict[str, float]:
-        """The current per-backend kernel cost model.
-
-        Leaf rows under the backend name, fused rows under
-        ``<backend>_fused``.
-        """
-        self._ensure_kernel_seeded()
-        snapshot = dict(self._kernel_costs)
-        for name, value in self._kernel_fused_costs.items():
-            snapshot[f"{name}_fused"] = value
-        return snapshot
-
     def reset(self) -> None:
         """Back to defaults; calibration re-seeds lazily (test isolation)."""
         self._costs = dict(DEFAULT_COSTS)
         self._observed.clear()
         self._seeded = False
-        self._kernel_costs = dict(KERNEL_DEFAULT_COSTS)
-        self._kernel_fused_costs = dict(KERNEL_FUSED_DEFAULT_COSTS)
-        self._kernel_observed.clear()
-        self._kernel_seeded = False
 
 
 #: The process-wide planner the engine consults in ``auto`` mode.

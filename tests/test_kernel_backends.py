@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import envconfig
-from repro.config import LINE_BITS, LINE_WORDS, SystemConfig
+from repro.config import LINE_BITS, LINE_WORDS, LINES_PER_PAGE, SystemConfig
 from repro.core import schemes
 from repro.pcm import kernels
 from repro.pcm import line as L
@@ -111,6 +111,23 @@ class TestRegistry:
         with pytest.raises(BackendUnavailable):
             kernels.get_backend("compiled")
         assert kernels.available_backends() == ("python", "numpy")
+
+    def test_build_is_reused_across_cache_dirs(self, tmp_path, monkeypatch):
+        """The C build is process-wide: a new ``REPRO_CACHE_DIR`` (every
+        test gets one) reuses it instead of compiling again."""
+        from repro.pcm.kernels import compiled_backend
+
+        if backend_or_skip("compiled").flavor != "c":
+            pytest.skip("no C flavour here")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "fresh"))
+        kernels.reset()
+
+        def no_compile(*args, **kwargs):
+            raise AssertionError("the kernel library was compiled again")
+
+        monkeypatch.setattr(compiled_backend.subprocess, "run", no_compile)
+        assert kernels.get_backend("compiled").flavor == "c"
+        assert not (tmp_path / "fresh" / "kernels").exists()
 
     def test_activate_preferred_degrades_to_python(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL_CC", "/bin/false")
@@ -378,6 +395,7 @@ class _FlakyOps:
         self._real = real
         self._fuse = fuse
         self.flavor = real.flavor
+        self.seeded = real.seeded
 
     def _call(self, method, *args):
         if self._fuse <= 0:
@@ -408,6 +426,12 @@ class _FlakyOps:
 
     def write_apply(self, *args):
         return self._call("write_apply", *args)
+
+    def seeded_row(self, *args):
+        return self._call("seeded_row", *args)
+
+    def seeded_mask(self, *args):
+        return self._call("seeded_mask", *args)
 
 
 def _fresh_compiled():
@@ -566,3 +590,158 @@ class TestCompiledFusedCrashFallback:
             stateplane.PLANE.reset()
         assert backend.dead is True
         assert chaos == reference
+
+
+# -- seeded state generation -------------------------------------------------
+
+
+def _numpy_row(key) -> np.ndarray:
+    """The oracle: numpy's own ``default_rng(key)`` row recipe."""
+    return np.random.default_rng(key).integers(
+        0, 1 << 64, size=(LINES_PER_PAGE, LINE_WORDS), dtype=np.uint64
+    )
+
+
+def _numpy_mask(key, fraction: float) -> int:
+    """The oracle: ``default_rng(key).random(LINE_BITS) < fraction``,
+    packed little-endian."""
+    draws = np.random.default_rng(key).random(LINE_BITS)
+    packed = np.packbits(draws < fraction, bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
+
+
+#: One SeedSequence word each, biased to the range edges.
+key_words = st.one_of(st.sampled_from([0, 1, 2**32 - 1]), seeds)
+#: Words numpy coerces to more than one uint32 (the native path's limit).
+wide_words = st.integers(min_value=2**32, max_value=2**80)
+fractions = st.one_of(
+    st.sampled_from([
+        0.0, 5e-324, 1e-12, 0.25, np.nextafter(0.25, 0.0),
+        np.nextafter(0.25, 1.0), 1.0 - 1e-12, 1.0,
+    ]),
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+)
+
+
+class _SeededOps:
+    """Native ops whose seeded generators raise; the rest delegate."""
+
+    def __init__(self, real) -> None:
+        self._real = real
+        self.flavor = real.flavor
+        self.seeded = True
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+    def seeded_row(self, *args):
+        raise RuntimeError("simulated native generator crash")
+
+    seeded_mask = seeded_row
+
+
+def _native_compiled():
+    """A fresh compiled backend whose state generation runs natively."""
+    backend = _fresh_compiled()
+    if not backend.native_seeding:
+        pytest.skip(f"no native seeded generators ({backend.flavor} flavour)")
+    return backend
+
+
+@pytest.mark.parametrize("name", kernels.BACKEND_NAMES)
+class TestSeededStateEquivalence:
+    """Every backend's seeded generators against numpy's recipe.
+
+    No hypothesis deadline: when this class runs first in a process, its
+    first compiled example builds the C library.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.tuples(key_words, key_words, key_words))
+    def test_seeded_row(self, name, key):
+        got = backend_or_skip(name).seeded_row(key)
+        assert got.dtype == np.uint64
+        assert got.shape == (LINES_PER_PAGE, LINE_WORDS)
+        assert got.tobytes() == _numpy_row(key).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.tuples(key_words, key_words, key_words, key_words), fractions)
+    def test_seeded_mask(self, name, key, fraction):
+        got = backend_or_skip(name).seeded_mask(key, fraction)
+        assert got == _numpy_mask(key, fraction)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(key_words, min_size=4, max_size=4),
+        wide_words,
+        st.integers(0, 3),
+        fractions,
+    )
+    def test_wide_keys_match(self, name, words, wide, slot, fraction):
+        words[slot] = wide
+        backend = backend_or_skip(name)
+        row_key = tuple(words[:3]) if slot < 3 else (wide, *words[1:3])
+        assert backend.seeded_row(row_key).tobytes() == (
+            _numpy_row(row_key).tobytes()
+        )
+        key = tuple(words)
+        assert backend.seeded_mask(key, fraction) == _numpy_mask(key, fraction)
+
+    def test_negative_words_raise_like_numpy(self, name):
+        backend = backend_or_skip(name)
+        with pytest.raises(ValueError):
+            backend.seeded_row((1, -1, 2))
+        with pytest.raises(ValueError):
+            backend.seeded_mask((0x5D9C, 0, -5, 1), 0.25)
+
+
+class TestNativeSeeding:
+    """Which keys run natively, and containment of a native fault."""
+
+    def test_only_the_c_flavour_seeds_natively(self):
+        assert PythonBackend().native_seeding is False
+        assert kernels.get_backend("numpy").native_seeding is False
+        backend = _native_compiled()
+        assert backend.flavor == "c"
+
+    def test_wide_and_negative_keys_never_reach_native_code(self):
+        backend = _native_compiled()
+        backend._ops = _SeededOps(backend._ops)
+        for key in ((2**32, 0, 0), (0, 0, 2**64), (7, -1, 0)):
+            try:
+                got = backend.seeded_row(key)
+            except ValueError:
+                continue  # numpy's own error for a negative word
+            assert got.tobytes() == _numpy_row(key).tobytes()
+        key = (0x5D9C, 1, 2**32, 3)
+        assert backend.seeded_mask(key, 0.25) == _numpy_mask(key, 0.25)
+        assert backend.dead is False
+
+    def test_native_fault_retires_and_the_plane_stays_identical(self):
+        from repro.pcm import stateplane
+
+        keys = [(3, bank, row) for bank in range(2) for row in range(3)]
+        coords = [(bank, row, line) for bank, row in [(0, 1), (1, 2)]
+                  for line in range(4)]
+
+        def touch(plane):
+            rows = [plane.pristine_row(*key).tobytes() for key in keys * 2]
+            masks = [plane.weak_mask(0.25, c) for c in coords * 2]
+            counters = (plane.row_hits, plane.row_misses,
+                        plane.mask_hits, plane.mask_misses)
+            return rows, masks, counters
+
+        kernels.activate("python")
+        want = touch(stateplane.StatePlane())
+        backend = _native_compiled()
+        backend._ops = _SeededOps(backend._ops)
+        kernels._instances["compiled"] = backend
+        kernels._active = backend
+        try:
+            with pytest.warns(RuntimeWarning, match="falling back"):
+                got = touch(stateplane.StatePlane())
+        finally:
+            kernels.reset()
+        assert backend.dead is True
+        assert backend.native_seeding is False
+        assert got == want

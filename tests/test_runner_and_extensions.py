@@ -38,6 +38,22 @@ class TestRunnerRegistry:
     def test_unknown_name_rejected(self, capsys):
         assert main(["nope"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_help_prints_usage(self, flag, capsys):
+        assert main(["figure11", flag]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: python -m repro.experiments.runner")
+        assert "--kernel-backend" in out and "figure11" in out
+        assert "unknown experiments" not in out
+
+    def test_help_as_a_module(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.experiments.runner", "--help"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage:")
+
     def test_analytic_subset_runs(self, capsys):
         assert main(["table1", "overhead"]) == 0
         out = capsys.readouterr().out
