@@ -15,6 +15,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from . import envconfig
 from .config import SystemConfig
 from .core import schemes
 from .core.system import simulate
@@ -83,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     exp.add_argument(
         "--kernel-backend",
-        choices=("auto", "python", "numpy", "compiled"),
+        choices=envconfig.KERNEL_BACKENDS,
         default=None,
         help="bit-kernel backend (default REPRO_KERNEL_BACKEND or auto: "
         "compiled when it builds on this host, else python)",
@@ -145,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--seed", type=int, default=1)
     prof.add_argument(
         "--kernel-backend",
-        choices=("auto", "python", "numpy", "compiled"),
+        choices=envconfig.KERNEL_BACKENDS,
         default="auto",
         help="bit-kernel backend to profile under (auto: compiled when it "
         "builds on this host, else python)",
@@ -348,9 +349,7 @@ def _cmd_cache(action: str) -> int:
         ["session planner pool picks", STATS.planner_pool_picks],
         ["session planner batch picks", STATS.planner_batch_picks],
         ["session kernel python picks", STATS.kernel_python_picks],
-        ["session kernel numpy picks", STATS.kernel_numpy_picks],
         ["session kernel compiled picks", STATS.kernel_compiled_picks],
-        ["session kernel fused picks", STATS.kernel_fused_picks],
     ]
     print(format_table("result cache", ["metric", "value"], rows))
     return 0
@@ -402,10 +401,6 @@ def _cmd_perf_profile(args: argparse.Namespace) -> int:
         backend = kernels.activate_preferred("compiled")
     else:
         backend = kernels.activate(args.kernel_backend)
-    flavor = getattr(backend, "flavor", None)
-    backend_label = (
-        f"{backend.name} ({flavor})" if flavor else backend.name
-    )
 
     prof = profiler.PROFILER
     prof.reset()
@@ -425,8 +420,7 @@ def _cmd_perf_profile(args: argparse.Namespace) -> int:
     )
     rows = []
     for phase in ("trace_gen", "write_plan", "write_sample", "write_din",
-                  "write_fused", "rng_draw", "write_ecp", "write_commit",
-                  "bit_kernels"):
+                  "write_ecp", "write_commit", "bit_kernels"):
         if phase in prof.seconds:
             rows.append(
                 [phase, f"{prof.seconds[phase]:.3f}", prof.calls[phase],
@@ -440,14 +434,14 @@ def _cmd_perf_profile(args: argparse.Namespace) -> int:
         format_table(
             f"phase profile: {args.workload} under {args.scheme} "
             f"(length={args.length}, cores={args.cores}; "
-            f"cycles={result.cycles}; kernels={backend_label})",
+            f"cycles={result.cycles}; kernels={backend.name})",
             ["phase", "seconds", "calls", "share"],
             rows,
         )
     )
-    print("note: write_sample/write_din/write_fused/rng_draw/write_ecp and "
-          "bit_kernels are inside write_plan; fine timing adds per-call "
-          "overhead, so compare shares, not absolutes.")
+    print("note: write_sample/write_din/write_ecp and bit_kernels are "
+          "inside write_plan; fine timing adds per-call overhead, so "
+          "compare shares, not absolutes.")
     from .pcm import stateplane
     from .perf.engine import STATS
 

@@ -23,11 +23,9 @@ Knobs parsed here:
 ``REPRO_PLAN``         execution planner mode: ``auto``/``serial``/``pool``/
                        ``batch`` (auto)
 ``REPRO_STATE_PLANE``  ``0`` disables the deterministic state plane (on)
-``REPRO_KERNEL_BACKEND`` bit-kernel backend: ``auto``/``python``/``numpy``/
+``REPRO_KERNEL_BACKEND`` bit-kernel backend: ``auto``/``python``/
                        ``compiled`` (auto)
 ``REPRO_KERNEL_CC``    C compiler for the compiled kernel backend (PATH search)
-``REPRO_KERNEL_FUSED`` fused write-phase kernels: ``auto``/``on``/``off``
-                       (auto — the per-leaf path, as ``off``)
 ``REPRO_HEARTBEAT_S``  watchdog heartbeat window, seconds (float >= 0; off)
 ``REPRO_MEM_BUDGET_MB`` soft RSS budget, MiB (int >= 0; off)
 ``REPRO_BREAKER_THRESHOLD`` consecutive failures before a circuit breaker
@@ -206,17 +204,16 @@ def state_plane_enabled() -> bool:
 #: ``auto`` plus the registry names in ``repro.pcm.kernels.BACKEND_NAMES``
 #: (kept as a literal so this module stays import-light; a registry test
 #: pins the two tuples against each other).
-KERNEL_BACKENDS = ("auto", "python", "numpy", "compiled")
+KERNEL_BACKENDS = ("auto", "python", "compiled")
 
 
 def kernel_backend() -> str:
     """Bit-kernel backend selection (``REPRO_KERNEL_BACKEND``, default ``auto``).
 
     ``auto`` takes ``compiled`` when it builds on this host (and the
-    ``kernel`` circuit breaker allows it), else ``python``; ``python``,
-    ``numpy``, and ``compiled``
-    force that backend (forcing ``compiled`` on a host where it cannot
-    build is an error rather than a silent degrade).
+    ``kernel`` circuit breaker allows it), else ``python``; ``python``
+    and ``compiled`` force that backend (forcing ``compiled`` on a host
+    where it cannot build is an error rather than a silent degrade).
     """
     raw = os.environ.get("REPRO_KERNEL_BACKEND")
     if raw is None:
@@ -339,34 +336,6 @@ def service_dir() -> Path:
     if raw:
         return Path(raw)
     return cache_dir() / "service"
-
-
-#: Legal values for ``REPRO_KERNEL_FUSED`` after truthy/falsy aliasing.
-KERNEL_FUSED_MODES = ("auto", "on", "off")
-
-
-def kernel_fused() -> str:
-    """Fused write-phase selection (``REPRO_KERNEL_FUSED``, default ``auto``).
-
-    ``on`` forces every demand write through the fused
-    ``write_phase_batch`` kernel; ``off`` forces the per-leaf path;
-    ``auto`` (unset) takes the per-leaf path, like ``off``.  Common boolean spellings alias onto ``on``/``off`` so CI can
-    say ``REPRO_KERNEL_FUSED=1``.
-    """
-    raw = os.environ.get("REPRO_KERNEL_FUSED")
-    if raw is None:
-        return "auto"
-    value = raw.strip().lower()
-    if value in ("1", "on", "true", "yes"):
-        return "on"
-    if value in ("0", "off", "false", "no"):
-        return "off"
-    if value == "auto" or value == "":
-        return "auto"
-    raise ValueError(
-        f"REPRO_KERNEL_FUSED must be one of auto/on/off (or a boolean "
-        f"spelling thereof), got {raw!r}"
-    )
 
 
 def kernel_cc() -> Optional[str]:

@@ -4,7 +4,7 @@ Process-wide registry of the interchangeable bit-kernel
 implementations (see :mod:`.base` for the contract):
 
 >>> from repro.pcm.kernels import activate, active
->>> activate("numpy")           # force a backend for this process
+>>> activate("python")          # force a backend for this process
 >>> active().popcount_rows(rows)
 
 ``active()`` defaults to the pure-Python reference backend; the
@@ -12,8 +12,8 @@ execution layer (:mod:`repro.perf.engine`) activates its per-batch
 choice — under ``auto``, compiled when it builds, else python — in the
 parent and in every pool worker.  Construction
 is lazy and memoised: asking for ``compiled`` the first time may
-trigger a (cached) C build; hosts where that fails — no compiler, no
-numba — see :class:`BackendUnavailable` from :func:`get_backend`, while
+trigger a (cached) C build; hosts where that fails — no C compiler —
+see :class:`BackendUnavailable` from :func:`get_backend`, while
 :func:`available_backends` silently omits the name and ``auto``
 selection degrades to pure Python.
 """
@@ -36,25 +36,20 @@ __all__ = [
     "fused_active",
     "get_backend",
     "reset",
-    "set_fused",
 ]
 
 #: Registered backend names, in preference order (fastest-candidate last).
-BACKEND_NAMES: Tuple[str, ...] = ("python", "numpy", "compiled")
+BACKEND_NAMES: Tuple[str, ...] = ("python", "compiled")
 
 _instances: Dict[str, KernelBackend] = {}
 _active: Optional[KernelBackend] = None
 _unavailable: Dict[str, str] = {}
-_fused: bool = False
 
 
 def _construct(name: str) -> KernelBackend:
     if name == "python":
         from .python_backend import PythonBackend
         return PythonBackend()
-    if name == "numpy":
-        from .numpy_backend import NumpyBackend
-        return NumpyBackend()
     from .compiled_backend import CompiledBackend
     return CompiledBackend()
 
@@ -132,38 +127,15 @@ def active_name() -> str:
     return active().name
 
 
-def set_fused(enabled: bool) -> None:
-    """Record the engine's per-batch fused-path decision for this process.
-
-    Like :func:`activate`, the execution layer calls this in the parent
-    and in every pool worker before advancing a chunk; executors read it
-    once at construction via :func:`fused_active`.
-    """
-    global _fused
-    _fused = bool(enabled)
-
-
+# perfbench/cells_child.py records this flag on every cells_* run.
 def fused_active() -> bool:
-    """Whether demand writes should take the fused write-phase kernel.
-
-    ``REPRO_KERNEL_FUSED=on``/``off`` overrides unconditionally; under
-    ``auto`` (the default) this reports the engine's last
-    :func:`set_fused` decision — ``False`` until anything decides.
-    """
-    from ... import envconfig
-
-    mode = envconfig.kernel_fused()
-    if mode == "on":
-        return True
-    if mode == "off":
-        return False
-    return _fused
+    """Always ``False``: demand writes have one (leaf-kernel) path."""
+    return False
 
 
 def reset() -> None:
     """Drop every memoised instance and re-arm failed probes (tests)."""
-    global _active, _fused
+    global _active
     _active = None
-    _fused = False
     _instances.clear()
     _unavailable.clear()

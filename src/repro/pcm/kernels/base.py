@@ -6,18 +6,15 @@ extraction, mask packing — behind one dispatch surface so the execution
 layer (``core/vnc.py``, ``pcm/stateplane.py``, ``perf/batch.py``) can
 swap implementations per process or per batch.
 
-Three interchangeable implementations live in this package:
+Two interchangeable implementations live in this package:
 
 ``python``
     the reference int-domain kernels from :mod:`repro.pcm.line` /
     :mod:`repro.pcm.din` (CPython big-int bit ops + numpy LUT gathers);
-``numpy``
-    packed-uint64 row kernels — scalar entry points route through the
-    whole-chunk row forms so numpy amortises dispatch over many lines;
 ``compiled``
-    a small C shared library (built on demand, loaded via ctypes) with a
-    numba fallback, for the scatter/LUT/pack loops; RNG draws stay in
-    Python so streams match the reference draw-for-draw.
+    a small C shared library (built on demand, loaded via ctypes) for
+    the scatter/LUT/pack loops; RNG draws stay in Python so streams
+    match the reference draw-for-draw.
 
 **Byte-identity is the hard contract.**  Every backend must produce
 bit-for-bit identical masks, stored images, and flag words — and consume
@@ -63,7 +60,7 @@ class KernelBackend:
     their oracle.
     """
 
-    #: Registry name ("python" / "numpy" / "compiled").
+    #: Registry name ("python" / "compiled").
     name: str = "base"
 
     #: Whether :meth:`seeded_row` / :meth:`seeded_mask` run natively
@@ -94,33 +91,9 @@ class KernelBackend:
         """Row-batched sampling over an ``(N, 8)`` uint64 array."""
         raise NotImplementedError
 
-    # -- fused write phase -------------------------------------------------------
-
-    def write_phase_batch(
-        self,
-        requests,
-        wl_probability: float,
-        bl_probability: float,
-        rng: np.random.Generator,
-        wl_enabled: bool = True,
-    ):
-        """Advance N queued demand writes through the fused write phase.
-
-        One call executes, for every :class:`~.rngplane.WriteRequest` in
-        ``requests``: payload decode (flip requests) -> DIN encode ->
-        differential-write planning -> word-line-vulnerability masking
-        and sampling -> per-victim bit-line vulnerable/weak masking and
-        sampling.  Returns one :class:`~.rngplane.WriteResult` per
-        request.
-
-        **RNG contract** (see :mod:`.rngplane` for the full statement):
-        the whole batch consumes exactly one ``rng.random(total)``
-        plane, request-major, word-line draws before that request's
-        victim draws, set bits in ascending cell order, with the leaf
-        samplers' no-draw probability edges — so the stream position
-        after the call is identical to the per-leaf path's, and
-        identical across every backend.
-        """
+    # perfbench/layers.py wraps this name on every traced run; nothing
+    # calls it.
+    def write_phase_batch(self, *args, **kwargs):
         raise NotImplementedError
 
     # -- counting / positions ----------------------------------------------------
@@ -163,8 +136,8 @@ class KernelBackend:
         """Int mask with bit ``i`` set where ``draws[i] < threshold``.
 
         The ``rng.random(n) < p`` + packbits recipe used by the flip and
-        weak-cell mask generators, fused so compiled backends can do the
-        compare and the pack in one pass.
+        weak-cell mask generators, in one call so compiled backends can
+        do the compare and the pack in one pass.
         """
         return self.pack_mask((draws < threshold).astype(np.uint8))
 

@@ -1,4 +1,4 @@
-"""Compiled kernel backend: C shared library via ctypes, numba fallback.
+"""Compiled kernel backend: C shared library via ctypes.
 
 The C source (``_kernels.c``) has no ``Python.h`` dependency, so the
 build is a single ``cc -O2 -shared -fPIC`` invocation — no Python
@@ -9,15 +9,13 @@ headers, no setuptools machinery at runtime.  Resolution order:
 2. a **cached build** under ``<cache_dir>/kernels/``, keyed by the
    source hash so stale libraries are never reused;
 3. a fresh compile with ``REPRO_KERNEL_CC`` (or the first of
-   ``cc``/``gcc``/``clang`` on ``PATH``);
-4. the **numba** flavour (``_numba_kernels``) when no C toolchain
-   exists but numba is importable.
+   ``cc``/``gcc``/``clang`` on ``PATH``).
 
 A library built or loaded in steps 2–3 is kept for the whole process,
 keyed by source hash and compiler: pointing ``REPRO_CACHE_DIR`` at a
 new directory reuses it rather than compiling again.
 
-If every flavour fails, construction raises
+If every step fails, construction raises
 :class:`~.base.BackendUnavailable` and the registry degrades to the
 pure-Python backend.
 
@@ -29,11 +27,11 @@ numpy SIMD call is already optimal (``popcount_rows``, the flag-expand
 XOR of ``decode_int``) stay on the numpy implementations; C is used
 where per-bit Python loops or per-byte LUT walks dominate.
 
-The C flavour also generates the state plane's seeded state
+The library also generates the state plane's seeded state
 (:meth:`CompiledBackend.seeded_row` / :meth:`~CompiledBackend.seeded_mask`)
 with numpy's SeedSequence -> PCG64 recipe re-implemented bit for bit;
-keys it does not cover (a word outside ``[0, 2**32)``), the numba
-flavour and C compilers without ``__int128`` keep the numpy recipe.
+keys it does not cover (a word outside ``[0, 2**32)``) and C compilers
+without ``__int128`` keep the numpy recipe.
 
 **Crash containment**: RNG draws always happen in Python *before* the
 native call, so when a compiled kernel raises at runtime the backend
@@ -52,7 +50,6 @@ import ctypes
 import hashlib
 import os
 import shutil
-import struct
 import subprocess
 import warnings
 from pathlib import Path
@@ -64,22 +61,17 @@ from ... import envconfig
 from ...config import LINE_BITS, LINE_BYTES, LINE_WORDS, LINES_PER_PAGE
 from .. import din as D
 from .. import line as L
-from . import rngplane
 from .base import BackendUnavailable, KernelBackend
 from .python_backend import PythonBackend
 
-#: Expected ``sd_abi_version()`` of a loadable library.  Bumped to 2 for
-#: the fused write-phase entry points (``sd_write_stage`` /
-#: ``sd_write_apply``) and to 3 for the seeded generators
-#: (``sd_seeded_row`` / ``sd_weak_mask``); older libraries fail the
-#: probe and are rebuilt from source.
-_ABI_VERSION = 3
+#: Expected ``sd_abi_version()`` of a loadable library.  Bumped to 3 for
+#: the seeded generators (``sd_seeded_row`` / ``sd_weak_mask``) and to 4
+#: when the whole-write-phase and other uncalled entry points were
+#: dropped; older libraries fail the probe and are rebuilt from source.
+_ABI_VERSION = 4
 
 #: uint64 words in one pristine row image.
 _ROW_WORDS = LINES_PER_PAGE * LINE_WORDS
-
-#: Native-order int32 packer for the single-request fused fast path.
-_PACK_I = struct.Struct("=i").pack
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 
@@ -171,36 +163,18 @@ def _declare(lib: ctypes.CDLL) -> None:
     """Bind argtypes/restypes; pointers travel as ``c_void_p`` (bytes or int)."""
     p = ctypes.c_void_p
     i = ctypes.c_int
-    lib.sd_apply_keep.argtypes = [p, p, p, i]
-    lib.sd_apply_keep.restype = i
     lib.sd_apply_keep_rows.argtypes = [p, i, i, p, p]
     lib.sd_apply_keep_rows.restype = i
     lib.sd_din_encode.argtypes = [p, p, p, p, i, i, p, p]
     lib.sd_din_encode.restype = None
     lib.sd_din_decode.argtypes = [p, p, i, i, p]
     lib.sd_din_decode.restype = None
-    lib.sd_pack_bits.argtypes = [p, i, p]
-    lib.sd_pack_bits.restype = None
     lib.sd_pack_less_than.argtypes = [p, i, ctypes.c_double, p]
     lib.sd_pack_less_than.restype = None
     lib.sd_bit_positions.argtypes = [p, i, p]
     lib.sd_bit_positions.restype = i
-    lib.sd_popcount.argtypes = [p, i]
-    lib.sd_popcount.restype = i
-    lib.sd_popcount_rows.argtypes = [p, i, i, p]
-    lib.sd_popcount_rows.restype = None
-    d = ctypes.c_double
-    lib.sd_write_stage.argtypes = [
-        p, p, p, p, p,  # stored, flags, disturbed, data, data_is_flip
-        p, p, p, p,     # vphys, vstuck, vweak, victim_counts
-        p, p,           # stored_tab, invert_tab
-        i, i, i,        # n_rows, row_bytes, wl_enabled
-        p, p, p, p, p, p, p,  # stage outputs
-    ]
-    lib.sd_write_stage.restype = None
-    lib.sd_write_apply.argtypes = [p, p, p, p, d, d, i, i, i, i, p, p]
-    lib.sd_write_apply.restype = None
     if hasattr(lib, "sd_weak_mask"):  # absent without __int128
+        d = ctypes.c_double
         u = ctypes.c_uint32
         lib.sd_seeded_row.argtypes = [u, u, u, p, i]
         lib.sd_seeded_row.restype = None
@@ -222,8 +196,6 @@ class _COps:
     the rows).
     """
 
-    flavor = "c"
-
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._lib = lib
         # Hold the LUTs (and their addresses) so the buffers outlive
@@ -244,37 +216,6 @@ class _COps:
         self._row_view = np.frombuffer(self._row_buf, np.uint64).reshape(
             LINES_PER_PAGE, LINE_WORDS
         )
-        # Reusable fused write-phase arena, grown on demand.  The hot
-        # shape is one request with a couple of victims per call, so
-        # per-call buffer allocation would dominate the native work.
-        self._ws_rows = 0
-        self._ws_vics = 0
-        self._grow_fused(1, 4)
-
-    def _grow_fused(self, n_rows: int, n_victims: int) -> None:
-        if n_rows > self._ws_rows:
-            self._ws_rows = n_rows
-            self._ws_stored = ctypes.create_string_buffer(n_rows * LINE_BYTES)
-            self._ws_flags = ctypes.create_string_buffer(n_rows * 8)
-            self._ws_logical = ctypes.create_string_buffer(n_rows * LINE_BYTES)
-            self._ws_wl = ctypes.create_string_buffer(n_rows * LINE_BYTES)
-            self._ws_counts = ctypes.create_string_buffer(n_rows * 12)
-            self._ws_errs = ctypes.create_string_buffer(n_rows * 4)
-            self._ws_stored_a = ctypes.addressof(self._ws_stored)
-            self._ws_flags_a = ctypes.addressof(self._ws_flags)
-            self._ws_logical_a = ctypes.addressof(self._ws_logical)
-            self._ws_wl_a = ctypes.addressof(self._ws_wl)
-            self._ws_counts_a = ctypes.addressof(self._ws_counts)
-            self._ws_errs_a = ctypes.addressof(self._ws_errs)
-        if n_victims > self._ws_vics:
-            v = max(n_victims, 1)
-            self._ws_vics = v
-            self._ws_weak = ctypes.create_string_buffer(v * LINE_BYTES)
-            self._ws_vcounts = ctypes.create_string_buffer(v * 8)
-            self._ws_sampled = ctypes.create_string_buffer(v * LINE_BYTES)
-            self._ws_weak_a = ctypes.addressof(self._ws_weak)
-            self._ws_vcounts_a = ctypes.addressof(self._ws_vcounts)
-            self._ws_sampled_a = ctypes.addressof(self._ws_sampled)
 
     def apply_keep(self, cand: bytes, keep: bytes, n_rows: int) -> bytes:
         if n_rows == 1:
@@ -324,14 +265,6 @@ class _COps:
         self._lib.sd_pack_less_than(draws, n, threshold, ctypes.addressof(out))
         return out.raw
 
-    def pack_bits(self, bits: bytes, n: int) -> bytes:
-        if n == LINE_BITS:
-            self._lib.sd_pack_bits(bits, n, self._line_addr)
-            return self._line_buf.raw
-        out = ctypes.create_string_buffer((n + 7) // 8)
-        self._lib.sd_pack_bits(bits, n, ctypes.addressof(out))
-        return out.raw
-
     def bit_positions(self, buf: bytes, count: int) -> List[int]:
         self._lib.sd_bit_positions(buf, len(buf), self._pos_addr)
         return self._pos_view[:count].tolist()
@@ -348,193 +281,8 @@ class _COps:
         )
         return self._line_buf.raw
 
-    def write_stage(
-        self,
-        stored: bytes,
-        flags: bytes,
-        disturbed: bytes,
-        data: bytes,
-        flips: bytes,
-        vphys: bytes,
-        vstuck: bytes,
-        vweak: bytes,
-        vcounts: bytes,
-        n_rows: int,
-        n_victims: int,
-        wl_enabled: int,
-    ):
-        self._grow_fused(n_rows, n_victims)
-        # Only flags_out accumulates with |= in C; the rest is written.
-        ctypes.memset(self._ws_flags_a, 0, n_rows * 8)
-        self._lib.sd_write_stage(
-            stored, flags, disturbed, data, flips,
-            vphys, vstuck, vweak, vcounts,
-            self._stored_ptr, self._invert_ptr,
-            n_rows, LINE_BYTES, wl_enabled,
-            self._ws_stored_a, self._ws_flags_a, self._ws_logical_a,
-            self._ws_wl_a, self._ws_weak_a, self._ws_counts_a,
-            self._ws_vcounts_a,
-        )
-        return (
-            ctypes.string_at(self._ws_stored_a, n_rows * LINE_BYTES),
-            ctypes.string_at(self._ws_flags_a, n_rows * 8),
-            ctypes.string_at(self._ws_logical_a, n_rows * LINE_BYTES),
-            ctypes.string_at(self._ws_wl_a, n_rows * LINE_BYTES),
-            ctypes.string_at(self._ws_weak_a, n_victims * LINE_BYTES),
-            struct.unpack_from(f"={n_rows * 3}i", self._ws_counts),
-            struct.unpack_from(f"={n_victims * 2}i", self._ws_vcounts),
-        )
-
-    def write_apply(
-        self,
-        wl_vuln: bytes,
-        weak: bytes,
-        vcounts: bytes,
-        draws: bytes,
-        p_wl: float,
-        p_bl: float,
-        n_rows: int,
-        n_victims: int,
-        wl_mode: int,
-        bl_mode: int,
-    ):
-        self._grow_fused(n_rows, n_victims)
-        self._lib.sd_write_apply(
-            wl_vuln, weak, vcounts, draws,
-            p_wl, p_bl, n_rows, LINE_BYTES, wl_mode, bl_mode,
-            self._ws_errs_a, self._ws_sampled_a,
-        )
-        return (
-            struct.unpack_from(f"={n_rows}i", self._ws_errs),
-            ctypes.string_at(self._ws_sampled_a, n_victims * LINE_BYTES),
-        )
-
-
-class _NumbaOps:
-    """Same bytes veneer over the ``@njit`` kernels (numba flavour)."""
-
-    flavor = "numba"
-    seeded = False
-
-    def __init__(self, mod) -> None:
-        self._mod = mod
-        stored_tab, invert_tab = D.din_tables()
-        self._stored_tab = stored_tab.reshape(-1)
-        self._invert_tab = invert_tab.reshape(-1)
-
-    def apply_keep(self, cand: bytes, keep: bytes, n_rows: int) -> bytes:
-        out = np.empty(n_rows * LINE_BYTES, np.uint8)
-        self._mod.apply_keep_rows(
-            np.frombuffer(cand, np.uint8), n_rows, LINE_BYTES,
-            np.frombuffer(keep, np.uint8), out,
-        )
-        return out.tobytes()
-
-    def din_encode(self, old: bytes, raw: bytes, n_rows: int) -> Tuple[bytes, bytes]:
-        stored = np.empty(n_rows * LINE_BYTES, np.uint8)
-        flags = np.zeros(n_rows * 8, np.uint8)
-        self._mod.din_encode(
-            np.frombuffer(old, np.uint8), np.frombuffer(raw, np.uint8),
-            self._stored_tab, self._invert_tab,
-            n_rows, LINE_BYTES, stored, flags,
-        )
-        return stored.tobytes(), flags.tobytes()
-
-    def din_decode(self, stored: bytes, flags: bytes, n_rows: int) -> bytes:
-        out = np.empty(n_rows * LINE_BYTES, np.uint8)
-        self._mod.din_decode(
-            np.frombuffer(stored, np.uint8), np.frombuffer(flags, np.uint8),
-            n_rows, LINE_BYTES, out,
-        )
-        return out.tobytes()
-
-    def pack_less_than(self, draws: bytes, n: int, threshold: float) -> bytes:
-        out = np.empty((n + 7) // 8, np.uint8)
-        self._mod.pack_less_than(
-            np.frombuffer(draws, np.float64), n, threshold, out
-        )
-        return out.tobytes()
-
-    def pack_bits(self, bits: bytes, n: int) -> bytes:
-        out = np.empty((n + 7) // 8, np.uint8)
-        self._mod.pack_bits(np.frombuffer(bits, np.uint8), n, out)
-        return out.tobytes()
-
-    def bit_positions(self, buf: bytes, count: int) -> List[int]:
-        out = np.empty(max(count, 1), np.int32)
-        self._mod.bit_positions(np.frombuffer(buf, np.uint8), len(buf), out)
-        return out[:count].tolist()
-
-    def write_stage(
-        self,
-        stored: bytes,
-        flags: bytes,
-        disturbed: bytes,
-        data: bytes,
-        flips: bytes,
-        vphys: bytes,
-        vstuck: bytes,
-        vweak: bytes,
-        vcounts: bytes,
-        n_rows: int,
-        n_victims: int,
-        wl_enabled: int,
-    ):
-        v = max(n_victims, 1)
-        stored_out = np.empty(n_rows * LINE_BYTES, np.uint8)
-        flags_out = np.zeros(n_rows * 8, np.uint8)
-        logical_out = np.empty(n_rows * LINE_BYTES, np.uint8)
-        wl_out = np.empty(n_rows * LINE_BYTES, np.uint8)
-        weak_out = np.zeros(v * LINE_BYTES, np.uint8)
-        counts = np.empty(n_rows * 3, np.int32)
-        vcounts_out = np.zeros(v * 2, np.int32)
-        self._mod.write_stage(
-            np.frombuffer(stored, np.uint8), np.frombuffer(flags, np.uint8),
-            np.frombuffer(disturbed, np.uint8), np.frombuffer(data, np.uint8),
-            np.frombuffer(flips, np.uint8),
-            np.frombuffer(vphys, np.uint8), np.frombuffer(vstuck, np.uint8),
-            np.frombuffer(vweak, np.uint8), np.frombuffer(vcounts, np.int32),
-            self._stored_tab, self._invert_tab,
-            n_rows, LINE_BYTES, wl_enabled,
-            stored_out, flags_out, logical_out, wl_out, weak_out,
-            counts, vcounts_out,
-        )
-        return (
-            stored_out.tobytes(), flags_out.tobytes(), logical_out.tobytes(),
-            wl_out.tobytes(), weak_out.tobytes()[:n_victims * LINE_BYTES],
-            tuple(int(x) for x in counts),
-            tuple(int(x) for x in vcounts_out[:n_victims * 2]),
-        )
-
-    def write_apply(
-        self,
-        wl_vuln: bytes,
-        weak: bytes,
-        vcounts: bytes,
-        draws: bytes,
-        p_wl: float,
-        p_bl: float,
-        n_rows: int,
-        n_victims: int,
-        wl_mode: int,
-        bl_mode: int,
-    ):
-        errs = np.zeros(n_rows, np.int32)
-        sampled = np.zeros(max(n_victims, 1) * LINE_BYTES, np.uint8)
-        self._mod.write_apply(
-            np.frombuffer(wl_vuln, np.uint8), np.frombuffer(weak, np.uint8),
-            np.frombuffer(vcounts, np.int32), np.frombuffer(draws, np.float64),
-            p_wl, p_bl, n_rows, LINE_BYTES, wl_mode, bl_mode,
-            errs, sampled,
-        )
-        return (
-            tuple(int(x) for x in errs),
-            sampled.tobytes()[:n_victims * LINE_BYTES],
-        )
-
-
-def _make_ops():
-    """Build the best available native ops, or raise BackendUnavailable."""
+def _make_ops() -> _COps:
+    """Load the C library (prebuilt, else built), or raise BackendUnavailable."""
     reasons = []
     prebuilt = _prebuilt_library()
     if prebuilt is not None:
@@ -546,18 +294,13 @@ def _make_ops():
         return _COps(_built_library())
     except BackendUnavailable as exc:
         reasons.append(str(exc))
-    try:
-        from . import _numba_kernels
-        return _NumbaOps(_numba_kernels)
-    except ImportError:
-        reasons.append("numba is not installed")
     raise BackendUnavailable(
         "compiled kernel backend unavailable: " + "; ".join(reasons)
     )
 
 
 class CompiledBackend(KernelBackend):
-    """C/numba-accelerated kernels with a self-retiring Python fallback."""
+    """C-accelerated kernels with a self-retiring Python fallback."""
 
     name = "compiled"
 
@@ -566,11 +309,6 @@ class CompiledBackend(KernelBackend):
         self._py = PythonBackend()
         self._dead = False
         self._seeded = self._ops.seeded
-
-    @property
-    def flavor(self) -> str:
-        """Which native flavour loaded: ``"c"`` or ``"numba"``."""
-        return self._ops.flavor
 
     @property
     def dead(self) -> bool:
@@ -690,142 +428,6 @@ class CompiledBackend(KernelBackend):
             )
         return np.frombuffer(data, L.WORD_DTYPE).reshape(n_rows, LINE_WORDS).copy()
 
-    # -- fused write phase -------------------------------------------------------
-
-    def write_phase_batch(
-        self,
-        requests,
-        wl_probability: float,
-        bl_probability: float,
-        rng: np.random.Generator,
-        wl_enabled: bool = True,
-    ):
-        if self._dead:
-            return self._py.write_phase_batch(
-                requests, wl_probability, bl_probability, rng, wl_enabled
-            )
-        n = len(requests)
-        if n == 0:
-            return []
-        if n == 1:
-            # The hot shape: the write planner fuses one demand write
-            # (plus its victims) per call, so skip the generator joins.
-            req = requests[0]
-            victims = req.victims
-            nv = len(victims)
-            victim_counts = [nv]
-            n_victims = nv
-            stored = req.stored.to_bytes(LINE_BYTES, "little")
-            flags = req.flags.to_bytes(8, "little")
-            disturbed = req.disturbed.to_bytes(LINE_BYTES, "little")
-            data = req.data.to_bytes(LINE_BYTES, "little")
-            flips = b"\x01" if req.data_is_flip else b"\x00"
-            if nv:
-                vphys = b"".join(
-                    v[0].to_bytes(LINE_BYTES, "little") for v in victims
-                )
-                vstuck = b"".join(
-                    v[1].to_bytes(LINE_BYTES, "little") for v in victims
-                )
-                vweak = b"".join(
-                    v[2].to_bytes(LINE_BYTES, "little") for v in victims
-                )
-            else:
-                vphys = vstuck = vweak = b""
-            vcounts_b = _PACK_I(nv)
-        else:
-            victim_counts = [len(req.victims) for req in requests]
-            n_victims = sum(victim_counts)
-            stored = b"".join(
-                req.stored.to_bytes(LINE_BYTES, "little") for req in requests
-            )
-            flags = b"".join(
-                req.flags.to_bytes(8, "little") for req in requests
-            )
-            disturbed = b"".join(
-                req.disturbed.to_bytes(LINE_BYTES, "little")
-                for req in requests
-            )
-            data = b"".join(
-                req.data.to_bytes(LINE_BYTES, "little") for req in requests
-            )
-            flips = bytes(1 if req.data_is_flip else 0 for req in requests)
-            vphys = b"".join(
-                v[0].to_bytes(LINE_BYTES, "little")
-                for req in requests for v in req.victims
-            )
-            vstuck = b"".join(
-                v[1].to_bytes(LINE_BYTES, "little")
-                for req in requests for v in req.victims
-            )
-            vweak = b"".join(
-                v[2].to_bytes(LINE_BYTES, "little")
-                for req in requests for v in req.victims
-            )
-            vcounts_b = struct.pack(f"={n}i", *victim_counts)
-        try:
-            (stored_out, flags_out, logical_out, wl_out, weak_out,
-             counts, vcounts) = self._ops.write_stage(
-                stored, flags, disturbed, data, flips,
-                vphys, vstuck, vweak, vcounts_b, n, n_victims,
-                1 if wl_enabled else 0,
-            )
-        except Exception as exc:
-            # Stage failures consume no RNG: the pure-Python fused path
-            # replays the whole call stream-identically from the inputs.
-            self._retire(exc)
-            return self._py.write_phase_batch(
-                requests, wl_probability, bl_probability, rng, wl_enabled
-            )
-        wl_mode, bl_mode = rngplane.sample_modes(wl_probability, bl_probability)
-        total = 0
-        if wl_mode == 2:
-            total += sum(counts[2::3])
-        if bl_mode == 2 and n_victims:
-            total += sum(vcounts[1::2])
-        draws = rngplane.draw_plane(rng, total)
-        try:
-            errs, sampled = self._ops.write_apply(
-                wl_out, weak_out, vcounts_b, draws.tobytes(),
-                float(wl_probability), float(bl_probability),
-                n, n_victims, wl_mode, bl_mode,
-            )
-        except Exception as exc:
-            # The plane is already consumed: re-stage in pure Python
-            # (draw-free, deterministic) and scatter the very same draws
-            # so the results and the stream position stay identical.
-            self._retire(exc)
-            staged = rngplane.stage_reference(self._py, requests, wl_enabled)
-            return rngplane.apply_reference(
-                staged, draws, wl_probability, bl_probability
-            )
-        results = []
-        k = 0
-        for r in range(n):
-            o = r * LINE_BYTES
-            nv = victim_counts[r]
-            results.append(rngplane.WriteResult(
-                stored=int.from_bytes(stored_out[o:o + LINE_BYTES], "little"),
-                flags=int.from_bytes(flags_out[r * 8:(r + 1) * 8], "little"),
-                logical=int.from_bytes(logical_out[o:o + LINE_BYTES], "little"),
-                reset_bits=counts[r * 3],
-                set_bits=counts[r * 3 + 1],
-                wl_vuln_bits=counts[r * 3 + 2],
-                wl_errors=errs[r],
-                victim_vuln_bits=[
-                    vcounts[(k + v) * 2] for v in range(nv)
-                ],
-                victim_sampled=[
-                    int.from_bytes(
-                        sampled[(k + v) * LINE_BYTES:(k + v + 1) * LINE_BYTES],
-                        "little",
-                    )
-                    for v in range(nv)
-                ],
-            ))
-            k += nv
-        return results
-
     # -- seeded state generation --------------------------------------------
 
     def seeded_row(self, key: Tuple[int, ...]) -> np.ndarray:
@@ -935,8 +537,8 @@ class CompiledBackend(KernelBackend):
 
     def pack_mask(self, bits: np.ndarray) -> int:
         # numpy's SIMD packbits beats the native round-trip for one line;
-        # the C bit-packer is still exercised via mask_from_draws, where
-        # fusing the threshold compare into the pack wins.
+        # C packs only in mask_from_draws, where doing the threshold
+        # compare in the same pass wins.
         return self._py.pack_mask(bits)
 
     def mask_from_draws(self, draws: np.ndarray, threshold: float) -> int:

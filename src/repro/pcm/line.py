@@ -22,9 +22,9 @@ Batched ``(N, 8)`` variants (:func:`popcount_rows`, :func:`sample_masks`)
 let callers process several lines — e.g. a write's two bit-line
 neighbours — in one call.
 
-The original ``unpackbits``-based scalar kernels are retained as
-``_scalar_*`` reference implementations; golden tests pin the fast paths
-bit-for-bit (and RNG-stream-exactly) against them.
+The original ``unpackbits``-based scalar kernels live in
+``tests/scalar_reference.py`` as oracles; equivalence tests pin the fast
+paths bit-for-bit (and RNG-stream-exactly) against them.
 """
 
 from __future__ import annotations
@@ -411,42 +411,3 @@ def _apply_keep(candidates: int, keep: np.ndarray) -> int:
         value >>= 64
         shift += 64
     return out
-
-
-# -- scalar reference implementations -------------------------------------------
-#
-# The original unpackbits-based kernels, kept verbatim as the behavioural
-# reference: equivalence tests assert the fast paths above match these
-# bit-for-bit under identical RNG seeds.
-
-
-def _scalar_popcount(mask: np.ndarray) -> int:
-    """Reference popcount (original ``unpackbits`` implementation)."""
-    return int(np.unpackbits(mask.view(np.uint8)).sum())
-
-
-def _scalar_bit_positions(mask: np.ndarray) -> List[int]:
-    """Reference bit-position extraction."""
-    bits = np.unpackbits(mask.view(np.uint8), bitorder="little")
-    return [int(i) for i in np.nonzero(bits)[0]]
-
-
-def _scalar_sample_mask(
-    candidates: np.ndarray, probability: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Reference disturbance sampler (unpack -> sample -> repack)."""
-    if probability <= 0.0:
-        return zero_line()
-    bits = np.unpackbits(candidates.view(np.uint8), bitorder="little")
-    n = int(bits.sum())
-    if n == 0:
-        return zero_line()
-    if probability >= 1.0:
-        return candidates.copy()
-    keep = rng.random(n) < probability
-    if not keep.any():
-        return zero_line()
-    idx = np.nonzero(bits)[0][keep]
-    out = np.zeros(LINE_BITS, dtype=np.uint8)
-    out[idx] = 1
-    return np.packbits(out, bitorder="little").view(WORD_DTYPE).copy()

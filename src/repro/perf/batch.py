@@ -88,7 +88,6 @@ def plan_batches(
 def simulate_chunk(
     specs: List[CellSpec], handles: Optional[list] = None,
     kernel: Optional[str] = None, hb: Optional[str] = None,
-    fused: bool = False,
 ) -> Tuple[List[SimulationResult], Snapshot]:
     """Pool-worker entry: advance one whole chunk in a single dispatch.
 
@@ -102,9 +101,7 @@ def simulate_chunk(
     the worker process explicitly (warm workers outlive batches, so the
     choice cannot ride on inherited module state); a backend the worker
     cannot construct degrades to pure Python, which is byte-identical.
-    ``fused`` rides the same plumbing for the planner's fused
-    write-phase decision (both paths are byte-identical too).  ``hb``
-    names the parent's heartbeat segment (see
+    ``hb`` names the parent's heartbeat segment (see
     :mod:`repro.resilience.watchdog`); the worker stamps it per cell so
     a long chunk still beats between cells.
     """
@@ -116,7 +113,6 @@ def simulate_chunk(
         from ..pcm import kernels
 
         kernels.activate_preferred(kernel)
-        kernels.set_fused(bool(fused))
     PROFILER.reset()
     results = []
     for spec in specs:

@@ -156,10 +156,7 @@ class EngineStats:
     planner_batch_picks: int = 0
     #: Kernel-backend decisions, by chosen backend (``auto`` backend only).
     kernel_python_picks: int = 0
-    kernel_numpy_picks: int = 0
     kernel_compiled_picks: int = 0
-    #: Cold batches dispatched through the fused write-phase kernel.
-    kernel_fused_picks: int = 0
     #: Rounds reclaimed by the heartbeat watchdog before the deadline.
     watchdog_stalls: int = 0
     #: Circuit-breaker transitions (see ``repro.resilience.breaker``).
@@ -248,19 +245,11 @@ class EngineStats:
                 f"{self.planner_pool_picks} pool / "
                 f"{self.planner_batch_picks} batch picks"
             )
-        kernel_picks = (
-            self.kernel_python_picks
-            + self.kernel_numpy_picks
-            + self.kernel_compiled_picks
-        )
-        if kernel_picks:
+        if self.kernel_python_picks or self.kernel_compiled_picks:
             base += (
                 f"; kernels: {self.kernel_python_picks} python / "
-                f"{self.kernel_numpy_picks} numpy / "
                 f"{self.kernel_compiled_picks} compiled picks"
             )
-        if self.kernel_fused_picks:
-            base += f"; fused write phase: {self.kernel_fused_picks} batches"
         if self.batched_cells:
             base += (
                 f"; batch: {self.batched_cells} cells in "
@@ -461,7 +450,6 @@ class CellRunner:
         if self.jobs <= 1:
             return 0
         kernel = self._resolve_kernel()
-        fused = self._resolve_fused()
         hb = self._heartbeat_handle()
         submitted = 0
         seen: set = set()
@@ -485,8 +473,7 @@ class CellRunner:
             with defer_sigint():
                 try:
                     future = pool.submit(
-                        _simulate_with_phases, spec, handle, kernel, hb,
-                        fused,
+                        _simulate_with_phases, spec, handle, kernel, hb
                     )
                 except (BrokenProcessPool, RuntimeError):
                     # The pool died mid-prefetch; unsubmitted cells simply
@@ -534,13 +521,10 @@ class CellRunner:
         if not specs:
             return []
         mode = self._pick_mode(len(specs))
-        # One kernel backend (and one fused-vs-leaf decision) per cold
-        # batch: activated here for the in-process paths and shipped by
-        # name/flag to every pool worker.
+        # One kernel backend per cold batch: activated here for the
+        # in-process paths and shipped by name to every pool worker.
         kernel = self._resolve_kernel()
         kernels.activate(kernel)
-        fused = self._resolve_fused()
-        kernels.set_fused(fused)
         pool_alive = WARM_POOL.alive
         start = time.monotonic()
         if mode == "serial":
@@ -552,11 +536,11 @@ class CellRunner:
             wall = time.monotonic() - start
             PLANNER.observe("serial", len(specs), wall)
         elif mode == "batch":
-            out = self._simulate_batched(specs, notify, kernel, fused)
+            out = self._simulate_batched(specs, notify, kernel)
             wall = time.monotonic() - start
             PLANNER.observe("batch", len(specs), wall)
         else:
-            out = self._simulate_pooled(specs, notify, kernel, fused)
+            out = self._simulate_pooled(specs, notify, kernel)
             wall = time.monotonic() - start
             PLANNER.observe(
                 "pool_warm" if pool_alive else "pool_cold", len(specs), wall
@@ -616,18 +600,6 @@ class CellRunner:
         STATS.kernel_python_picks += 1
         return "python"
 
-    @staticmethod
-    def _resolve_fused() -> bool:
-        """Whether the next cold batch takes the fused write-phase path.
-
-        Only when ``REPRO_KERNEL_FUSED=on``: the per-leaf path is the
-        default (``auto``/``off``).  Both paths are byte-identical.
-        """
-        fused = envconfig.kernel_fused() == "on"
-        if fused:
-            STATS.kernel_fused_picks += 1
-        return fused
-
     def _pick_mode(self, cells: int) -> str:
         """Resolve the execution mode for one cold batch.
 
@@ -664,8 +636,7 @@ class CellRunner:
         return watchdog.HEARTBEATS.ensure()
 
     def _simulate_batched(
-        self, specs: List[CellSpec], notify: _OnResult, kernel: str,
-        fused: bool = False,
+        self, specs: List[CellSpec], notify: _OnResult, kernel: str
     ) -> List[SimulationResult]:
         """Batched pool execution: one future advances a whole chunk.
 
@@ -700,7 +671,7 @@ class CellRunner:
                     with defer_sigint():
                         futures[position] = pool.submit(
                             batchexec.simulate_chunk, chunk_specs, handles,
-                            kernel, hb, fused,
+                            kernel, hb,
                         )
                     submitted[position] = chunk
                     STATS.batch_dispatches += 1
@@ -747,7 +718,7 @@ class CellRunner:
 
             if len(sub_specs) > 1:
                 sub_results = self._simulate_pooled(
-                    sub_specs, sub_notify, kernel, fused
+                    sub_specs, sub_notify, kernel
                 )
             else:
                 sub_results = [simulate_cell(sub_specs[0])]
@@ -757,8 +728,7 @@ class CellRunner:
         return results  # type: ignore[return-value]  # every slot is filled
 
     def _simulate_pooled(
-        self, specs: List[CellSpec], notify: _OnResult, kernel: str,
-        fused: bool = False,
+        self, specs: List[CellSpec], notify: _OnResult, kernel: str
     ) -> List[SimulationResult]:
         """The failure-handling ladder: pool -> retries -> serial fallback.
 
@@ -782,7 +752,7 @@ class CellRunner:
                     len(pending), attempt, self.retries,
                 )
             pending = self._pool_round(
-                specs, pending, results, notify, kernel, fused
+                specs, pending, results, notify, kernel
             )
         if pending:
             STATS.serial_fallback_cells += len(pending)
@@ -802,7 +772,6 @@ class CellRunner:
         results: List[Optional[SimulationResult]],
         notify: _OnResult,
         kernel: str,
-        fused: bool = False,
     ) -> List[int]:
         """Run one warm-pool attempt over ``indices``; returns the failures.
 
@@ -823,7 +792,7 @@ class CellRunner:
                 with defer_sigint():
                     futures[index] = pool.submit(
                         _simulate_with_phases, specs[index], handle, kernel,
-                        hb, fused,
+                        hb,
                     )
         except (BrokenProcessPool, RuntimeError):
             for future in futures.values():
@@ -994,7 +963,7 @@ def _publish_trace(spec: CellSpec):
 
 
 def _simulate_with_phases(
-    spec: CellSpec, handle=None, kernel=None, hb=None, fused: bool = False
+    spec: CellSpec, handle=None, kernel=None, hb=None
 ) -> tuple:
     """Pool worker: simulate one cell, shipping its phase timings back.
 
@@ -1005,8 +974,7 @@ def _simulate_with_phases(
     is reset before each cell and its delta returned with the result.
     ``kernel`` names the parent's bit-kernel backend pick; a worker that
     cannot construct it degrades to the byte-identical pure-Python
-    reference.  ``fused`` ships the parent's fused write-phase decision
-    the same way.  ``hb`` names the parent's heartbeat segment: the worker
+    reference.  ``hb`` names the parent's heartbeat segment: the worker
     stamps it per cell (and the armed event loop stamps it mid-cell) so
     the watchdog can tell slow from wedged.
     """
@@ -1016,7 +984,6 @@ def _simulate_with_phases(
         shm.ensure_attached(handle)
     if kernel is not None:
         kernels.activate_preferred(kernel)
-        kernels.set_fused(bool(fused))
     PROFILER.reset()
     result = simulate_cell(spec)
     snapshot: Snapshot = PROFILER.snapshot()

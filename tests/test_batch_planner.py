@@ -225,8 +225,8 @@ class TestPlanner:
 
 
 class TestKernelPlanner:
-    """How ``auto`` picks the bit-kernel backend and the fused path, and
-    the host gating of committed calibration."""
+    """How ``auto`` picks the bit-kernel backend, and the host gating of
+    committed calibration."""
 
     def _auto_batches(self, tmp_path, n: int = 3) -> None:
         runner = CellRunner(
@@ -257,7 +257,7 @@ class TestKernelPlanner:
             pytest.skip(f"compiled backend unavailable here: {exc}")
         self._auto_batches(tmp_path)
         assert STATS.kernel_compiled_picks == 3
-        assert STATS.kernel_python_picks == STATS.kernel_numpy_picks == 0
+        assert STATS.kernel_python_picks == 0
         assert kernels.active_name() == "compiled"
 
     def test_auto_kernel_without_compiler_is_python(
@@ -267,14 +267,8 @@ class TestKernelPlanner:
         kernels.reset()
         self._auto_batches(tmp_path, n=2)
         assert STATS.kernel_python_picks == 2
-        assert STATS.kernel_compiled_picks == STATS.kernel_numpy_picks == 0
+        assert STATS.kernel_compiled_picks == 0
         assert kernels.active_name() == "python"
-
-    def test_auto_never_fuses(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_FUSED", "auto")
-        self._auto_batches(tmp_path, n=2)
-        assert STATS.kernel_fused_picks == 0
-        assert kernels.fused_active() is False
 
 
 class TestBatchedEngine:
@@ -360,39 +354,8 @@ class TestBatchedEngine:
             cache=ResultCache(tmp_path / "k", enabled=True),
         )
         runner.run_cells([small_cell("stream")])
-        picks = (
-            STATS.kernel_python_picks
-            + STATS.kernel_numpy_picks
-            + STATS.kernel_compiled_picks
-        )
-        assert picks == 1
+        assert STATS.kernel_python_picks + STATS.kernel_compiled_picks == 1
         assert "kernels:" in STATS.summary()
-
-    def test_forced_fused_counts_and_stays_byte_identical(
-        self, tmp_path, monkeypatch
-    ):
-        specs = [small_cell("stream"), small_cell("mcf")]
-        want = [
-            payload(r)
-            for r in CellRunner(
-                jobs=1, cache=ResultCache(tmp_path / "leaf", enabled=True)
-            ).run_cells(specs)
-        ]
-        monkeypatch.setenv("REPRO_KERNEL_FUSED", "1")
-        results = CellRunner(
-            jobs=1, cache=ResultCache(tmp_path / "fused", enabled=True)
-        ).run_cells(specs)
-        assert [payload(r) for r in results] == want
-        assert STATS.kernel_fused_picks >= 1
-        assert "fused write phase" in STATS.summary()
-
-    def test_fused_off_never_picks(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_FUSED", "off")
-        CellRunner(
-            jobs=1, cache=ResultCache(tmp_path / "off", enabled=True)
-        ).run_cells([small_cell("stream")])
-        assert STATS.kernel_fused_picks == 0
-        assert "fused write phase" not in STATS.summary()
 
     def test_invalid_plan_and_batch_cells_rejected(self):
         with pytest.raises(ValueError, match="plan must be one of"):

@@ -1,6 +1,6 @@
 """The kernel-backend registry and cross-backend byte-identity.
 
-Every registered backend (``python``, ``numpy``, ``compiled``) must
+Every registered backend (``python``, ``compiled``) must
 produce bit-identical masks, stored images, and flag words — and consume
 the same RNG draws in the same order — as the pure-Python reference.
 These tests pin that contract property-based over random masks and edge
@@ -9,14 +9,14 @@ force-mode errors, graceful degradation) and the compiled backend's
 crash containment: a native kernel that raises mid-run retires itself
 with one warning and finishes byte- and stream-identically in Python.
 
-Backends unavailable on the host (no C compiler *and* no numba for
-``compiled``) skip their equivalence cases; the registry/degradation
-tests simulate such hosts with ``REPRO_KERNEL_CC`` pointed at a
-non-compiler.
+The compiled backend skips its equivalence cases on hosts without a C
+compiler; the registry/degradation tests simulate such hosts with
+``REPRO_KERNEL_CC`` pointed at a non-compiler.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import pickle
 import warnings
@@ -30,7 +30,6 @@ from repro.config import LINE_BITS, LINE_WORDS, LINES_PER_PAGE, SystemConfig
 from repro.core import schemes
 from repro.pcm import kernels
 from repro.pcm import line as L
-from repro.pcm.kernels import rngplane
 from repro.pcm.kernels.base import BackendUnavailable
 from repro.pcm.kernels.python_backend import PythonBackend
 
@@ -72,16 +71,33 @@ def _rows(values) -> np.ndarray:
 
 class TestRegistry:
     def test_envconfig_names_pin_the_registry(self):
-        """The import-light envconfig literal must track the registry."""
+        """The import-light envconfig literal must track the registry,
+        and every CLI ``--kernel-backend`` must offer exactly it."""
         assert envconfig.KERNEL_BACKENDS == ("auto",) + kernels.BACKEND_NAMES
+        from repro import cli
+
+        choices = []
+
+        def walk(parser):
+            for action in parser._actions:
+                if "--kernel-backend" in action.option_strings:
+                    choices.append(tuple(action.choices))
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        walk(sub)
+
+        walk(cli._build_parser())
+        assert choices == [envconfig.KERNEL_BACKENDS] * 2
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
             kernels.get_backend("fortran")
 
     def test_construction_is_memoised(self):
-        assert kernels.get_backend("numpy") is kernels.get_backend("numpy")
-        assert kernels.get_backend(" NumPy ") is kernels.get_backend("numpy")
+        assert kernels.get_backend("python") is kernels.get_backend("python")
+        assert kernels.get_backend(" Python ") is kernels.get_backend("python")
+        compiled = backend_or_skip("compiled")
+        assert kernels.get_backend(" COMPILED ") is compiled
 
     def test_active_defaults_to_python(self):
         kernels.reset()
@@ -89,14 +105,15 @@ class TestRegistry:
         assert kernels.active_name() == "python"
 
     def test_activate_and_reset(self):
-        kernels.activate("numpy")
-        assert kernels.active_name() == "numpy"
+        compiled = backend_or_skip("compiled")
+        assert kernels.activate("compiled") is compiled
+        assert kernels.active_name() == "compiled"
         kernels.reset()
         assert kernels.active_name() == "python"
 
     def test_available_always_includes_the_pure_backends(self):
         available = kernels.available_backends()
-        assert "python" in available and "numpy" in available
+        assert available[0] == "python"
         # Registry order is preserved (a subsequence of BACKEND_NAMES).
         order = [kernels.BACKEND_NAMES.index(name) for name in available]
         assert order == sorted(order)
@@ -110,15 +127,14 @@ class TestRegistry:
         # the name stays out of the available set.
         with pytest.raises(BackendUnavailable):
             kernels.get_backend("compiled")
-        assert kernels.available_backends() == ("python", "numpy")
+        assert kernels.available_backends() == ("python",)
 
     def test_build_is_reused_across_cache_dirs(self, tmp_path, monkeypatch):
         """The C build is process-wide: a new ``REPRO_CACHE_DIR`` (every
         test gets one) reuses it instead of compiling again."""
         from repro.pcm.kernels import compiled_backend
 
-        if backend_or_skip("compiled").flavor != "c":
-            pytest.skip("no C flavour here")
+        backend_or_skip("compiled")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "fresh"))
         kernels.reset()
 
@@ -126,17 +142,19 @@ class TestRegistry:
             raise AssertionError("the kernel library was compiled again")
 
         monkeypatch.setattr(compiled_backend.subprocess, "run", no_compile)
-        assert kernels.get_backend("compiled").flavor == "c"
+        assert kernels.get_backend("compiled").name == "compiled"
         assert not (tmp_path / "fresh" / "kernels").exists()
 
     def test_activate_preferred_degrades_to_python(self, monkeypatch):
+        # A constructible preference is honoured...
+        if "compiled" in kernels.available_backends():
+            assert kernels.activate_preferred("compiled").name == "compiled"
+        # ...and an unconstructible one degrades to pure Python.
         monkeypatch.setenv("REPRO_KERNEL_CC", "/bin/false")
         kernels.reset()
         backend = kernels.activate_preferred("compiled")
         assert backend.name == "python"
         assert kernels.active_name() == "python"
-        # But a constructible preference is honoured.
-        assert kernels.activate_preferred("numpy").name == "numpy"
 
     def test_forced_unavailable_backend_fails_the_runner(self, monkeypatch):
         """Forcing a backend the host lacks is an error, not a degrade."""
@@ -259,90 +277,6 @@ class TestBackendEquivalence:
         assert backend.pack_mask(bits) == REFERENCE.pack_mask(bits)
 
 
-# -- fused write-phase equivalence -------------------------------------------
-
-
-@st.composite
-def write_requests(draw):
-    """A valid fused-write request: flags come from a real DIN encode."""
-    physical = draw(mask_ints)
-    stored, flags = REFERENCE.encode_stored_int(physical, draw(mask_ints))
-    victims = tuple(
-        (draw(mask_ints), draw(mask_ints), draw(mask_ints))
-        for _ in range(draw(st.integers(0, 3)))
-    )
-    return rngplane.WriteRequest(
-        stored=stored,
-        flags=flags,
-        disturbed=draw(mask_ints),
-        data=draw(mask_ints),
-        data_is_flip=draw(st.booleans()),
-        victims=victims,
-    )
-
-
-def _fused_request() -> rngplane.WriteRequest:
-    """A fixed request with candidates on every sampling path."""
-    stored, flags = REFERENCE.encode_stored_int(L.MASK_ALL, 0x0F0F)
-    return rngplane.WriteRequest(
-        stored=stored, flags=flags, disturbed=0, data=0xFF00FF,
-        victims=((0, 0, (1 << 100) - 1), (1 << 30, 0, L.MASK_ALL)),
-    )
-
-
-@pytest.mark.parametrize("name", kernels.BACKEND_NAMES)
-class TestFusedWritePhaseEquivalence:
-    """``write_phase_batch`` against the reference: bytes AND stream."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(write_requests(), max_size=4), probabilities,
-           probabilities, st.booleans(), seeds)
-    def test_write_phase_batch(self, name, requests, wl_p, bl_p,
-                               wl_enabled, seed):
-        backend = backend_or_skip(name)
-        fast_rng = np.random.default_rng(seed)
-        ref_rng = np.random.default_rng(seed)
-        got = backend.write_phase_batch(
-            requests, wl_p, bl_p, fast_rng, wl_enabled=wl_enabled
-        )
-        want = REFERENCE.write_phase_batch(
-            requests, wl_p, bl_p, ref_rng, wl_enabled=wl_enabled
-        )
-        assert [r.astuple() for r in got] == [r.astuple() for r in want]
-        # The whole plane was consumed identically: not just the same
-        # draw count, the same post-call bit-generator state.
-        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(write_requests(), min_size=1, max_size=3), seeds)
-    def test_plane_matches_sequential_leaf_draws(self, name, requests, seed):
-        """The draw-order contract: one plane == the leaf calls, in order."""
-        backend = backend_or_skip(name)
-        wl_p, bl_p = 0.37, 0.61
-        fused_rng = np.random.default_rng(seed)
-        leaf_rng = np.random.default_rng(seed)
-        got = backend.write_phase_batch(requests, wl_p, bl_p, fused_rng)
-        staged = rngplane.stage_reference(REFERENCE, requests)
-        for sw, res in zip(staged, got):
-            wl_sample = REFERENCE.sample_mask_int(sw.wl_vuln, wl_p, leaf_rng)
-            assert wl_sample.bit_count() == res.wl_errors
-            sampled = REFERENCE.sample_masks_int(
-                sw.victim_weak, bl_p, leaf_rng
-            )
-            assert sampled == res.victim_sampled
-        assert fused_rng.bit_generator.state == leaf_rng.bit_generator.state
-
-    def test_fused_edges_draw_nothing(self, name):
-        backend = backend_or_skip(name)
-        request = _fused_request()
-        rng = np.random.default_rng(11)
-        before = rng.bit_generator.state["state"]["state"]
-        for wl_p, bl_p in ((0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.5, -0.2)):
-            backend.write_phase_batch([request], wl_p, bl_p, rng)
-        assert backend.write_phase_batch([], 0.5, 0.5, rng) == []
-        assert rng.bit_generator.state["state"]["state"] == before
-
-
 def _digest(result) -> str:
     return hashlib.sha256(pickle.dumps(result)).hexdigest()
 
@@ -356,13 +290,12 @@ def _tiny_spec():
     return CellSpec(bench="mcf", length=60, config=config)
 
 
-def _simulate_under(name: str, fused: bool = False) -> str:
+def _simulate_under(name: str) -> str:
     from repro.pcm import stateplane
     from repro.perf.cellspec import simulate_cell
 
     stateplane.PLANE.reset()
     kernels.activate(name)
-    kernels.set_fused(fused)
     try:
         return _digest(simulate_cell(_tiny_spec()))
     finally:
@@ -373,16 +306,10 @@ def _simulate_under(name: str, fused: bool = False) -> str:
 class TestFullCellEquivalence:
     """A whole simulated cell is byte-identical under every backend."""
 
-    @pytest.mark.parametrize("name", ("numpy", "compiled"))
+    @pytest.mark.parametrize("name", ("compiled",))
     def test_cell_digest_matches_python(self, name):
         backend_or_skip(name)
         assert _simulate_under(name) == _simulate_under("python")
-
-    @pytest.mark.parametrize("name", kernels.BACKEND_NAMES)
-    def test_fused_cell_digest_matches_leaf(self, name):
-        """The fused write phase changes wall clock, never a byte."""
-        backend_or_skip(name)
-        assert _simulate_under(name, fused=True) == _simulate_under("python")
 
 
 # -- compiled-backend crash containment --------------------------------------
@@ -394,7 +321,6 @@ class _FlakyOps:
     def __init__(self, real, fuse: int) -> None:
         self._real = real
         self._fuse = fuse
-        self.flavor = real.flavor
         self.seeded = real.seeded
 
     def _call(self, method, *args):
@@ -415,17 +341,8 @@ class _FlakyOps:
     def pack_less_than(self, *args):
         return self._call("pack_less_than", *args)
 
-    def pack_bits(self, *args):
-        return self._call("pack_bits", *args)
-
     def bit_positions(self, *args):
         return self._call("bit_positions", *args)
-
-    def write_stage(self, *args):
-        return self._call("write_stage", *args)
-
-    def write_apply(self, *args):
-        return self._call("write_apply", *args)
 
     def seeded_row(self, *args):
         return self._call("seeded_row", *args)
@@ -514,84 +431,6 @@ class TestCompiledCrashFallback:
         assert chaos == reference
 
 
-class TestCompiledFusedCrashFallback:
-    """Crash containment inside the fused ``write_phase_batch`` call."""
-
-    def test_stage_crash_retires_before_any_draw(self):
-        """A native fault in the draw-free stage delegates the whole
-        call: no RNG was consumed, so the Python reference starts from
-        the identical stream position."""
-        backend = _fresh_compiled()
-        backend._ops = _FlakyOps(backend._ops, fuse=0)
-        requests = [_fused_request(), _fused_request()]
-        fast_rng = np.random.default_rng(5)
-        ref_rng = np.random.default_rng(5)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            got = backend.write_phase_batch(requests, 0.4, 0.7, fast_rng)
-        want = REFERENCE.write_phase_batch(requests, 0.4, 0.7, ref_rng)
-        assert [r.astuple() for r in got] == [r.astuple() for r in want]
-        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
-        assert backend.dead is True
-
-    def test_apply_crash_replays_the_consumed_plane(self):
-        """A native fault *after* the plane is drawn must not re-draw:
-        the replay walks the already-consumed uniforms through the
-        Python scatter and lands byte- and stream-identically."""
-        backend = _fresh_compiled()
-        # One fuse: the stage call succeeds, the apply call dies.
-        backend._ops = _FlakyOps(backend._ops, fuse=1)
-        requests = [_fused_request(), _fused_request()]
-        fast_rng = np.random.default_rng(13)
-        ref_rng = np.random.default_rng(13)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            got = backend.write_phase_batch(requests, 0.4, 0.7, fast_rng)
-        want = REFERENCE.write_phase_batch(requests, 0.4, 0.7, ref_rng)
-        assert [r.astuple() for r in got] == [r.astuple() for r in want]
-        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
-        assert backend.dead is True
-
-    def test_retired_backend_fuses_through_python_silently(self):
-        backend = _fresh_compiled()
-        backend._ops = _FlakyOps(backend._ops, fuse=0)
-        with pytest.warns(RuntimeWarning):
-            backend.write_phase_batch([_fused_request()], 0.4, 0.7,
-                                      np.random.default_rng(1))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rng = np.random.default_rng(2)
-            ref = np.random.default_rng(2)
-            got = backend.write_phase_batch([_fused_request()], 0.4, 0.7, rng)
-            want = REFERENCE.write_phase_batch(
-                [_fused_request()], 0.4, 0.7, ref
-            )
-            assert [r.astuple() for r in got] == [
-                r.astuple() for r in want
-            ]
-            assert rng.bit_generator.state == ref.bit_generator.state
-
-    def test_midcell_fused_crash_leaves_the_cell_byte_identical(self):
-        """The chaos case on the fused path: native kernels die partway
-        through a fused cell; the finished cell matches pure Python."""
-        from repro.pcm import stateplane
-        from repro.perf.cellspec import simulate_cell
-
-        reference = _simulate_under("python")
-        backend = _fresh_compiled()
-        backend._ops = _FlakyOps(backend._ops, fuse=100)
-        kernels._instances["compiled"] = backend
-        kernels._active = backend
-        kernels.set_fused(True)
-        stateplane.PLANE.reset()
-        try:
-            with pytest.warns(RuntimeWarning, match="falling back"):
-                chaos = _digest(simulate_cell(_tiny_spec()))
-        finally:
-            kernels.reset()
-            stateplane.PLANE.reset()
-        assert backend.dead is True
-        assert chaos == reference
-
-
 # -- seeded state generation -------------------------------------------------
 
 
@@ -628,7 +467,6 @@ class _SeededOps:
 
     def __init__(self, real) -> None:
         self._real = real
-        self.flavor = real.flavor
         self.seeded = True
 
     def __getattr__(self, name):
@@ -644,7 +482,7 @@ def _native_compiled():
     """A fresh compiled backend whose state generation runs natively."""
     backend = _fresh_compiled()
     if not backend.native_seeding:
-        pytest.skip(f"no native seeded generators ({backend.flavor} flavour)")
+        pytest.skip("no native seeded generators (C compiler without __int128)")
     return backend
 
 
@@ -700,9 +538,7 @@ class TestNativeSeeding:
 
     def test_only_the_c_flavour_seeds_natively(self):
         assert PythonBackend().native_seeding is False
-        assert kernels.get_backend("numpy").native_seeding is False
-        backend = _native_compiled()
-        assert backend.flavor == "c"
+        assert _native_compiled().native_seeding is True
 
     def test_wide_and_negative_keys_never_reach_native_code(self):
         backend = _native_compiled()

@@ -2,7 +2,8 @@
 
 The int-domain and batched kernels in :mod:`repro.pcm.line` claim to be
 bit-for-bit and RNG-draw-for-draw identical to the original
-``unpackbits``-based implementations (kept as ``_scalar_*``).  These
+``unpackbits``-based implementations (the oracles in
+:mod:`tests.scalar_reference`).  These
 tests check that claim on random masks, edge probabilities, and empty
 candidate sets under fixed seeds.
 """
@@ -20,6 +21,11 @@ from repro.config import LINE_BITS, LINE_WORDS, FaultConfig, SystemConfig
 from repro.core import schemes
 from repro.pcm import line as L
 from repro.pcm.din import DINEncoder
+from tests.scalar_reference import (
+    scalar_bit_positions,
+    scalar_popcount,
+    scalar_sample_mask,
+)
 
 # Random 512-bit masks as (8,) uint64 arrays; bias toward sparse masks
 # (the common case: a handful of disturbed cells) plus dense extremes.
@@ -45,19 +51,19 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 class TestCountKernels:
     @given(masks)
     def test_popcount_matches_scalar(self, mask):
-        assert L.popcount(mask) == L._scalar_popcount(mask)
+        assert L.popcount(mask) == scalar_popcount(mask)
 
     @given(masks)
     def test_popcount_int_matches_scalar(self, mask):
-        assert L.popcount(L.to_int(mask)) == L._scalar_popcount(mask)
+        assert L.popcount(L.to_int(mask)) == scalar_popcount(mask)
 
     @given(masks)
     def test_bit_positions_matches_scalar(self, mask):
-        assert L.bit_positions(mask) == L._scalar_bit_positions(mask)
+        assert L.bit_positions(mask) == scalar_bit_positions(mask)
 
     @given(masks)
     def test_bit_positions_int_matches_scalar(self, mask):
-        assert L.bit_positions_int(L.to_int(mask)) == L._scalar_bit_positions(mask)
+        assert L.bit_positions_int(L.to_int(mask)) == scalar_bit_positions(mask)
 
     @given(st.lists(masks, max_size=6))
     def test_popcount_rows_matches_scalar(self, rows):
@@ -66,7 +72,7 @@ class TestCountKernels:
             if rows
             else np.zeros((0, LINE_WORDS), dtype=L.WORD_DTYPE)
         )
-        expected = [L._scalar_popcount(row) for row in rows]
+        expected = [scalar_popcount(row) for row in rows]
         assert L.popcount_rows(stacked).tolist() == expected
 
 
@@ -75,14 +81,14 @@ class TestSampleMask:
     @given(masks, probabilities, seeds)
     def test_sample_mask_matches_scalar(self, mask, p, seed):
         fast = L.sample_mask(mask, p, np.random.default_rng(seed))
-        ref = L._scalar_sample_mask(mask, p, np.random.default_rng(seed))
+        ref = scalar_sample_mask(mask, p, np.random.default_rng(seed))
         assert np.array_equal(fast, ref)
 
     @settings(max_examples=200)
     @given(masks, probabilities, seeds)
     def test_sample_mask_int_matches_scalar(self, mask, p, seed):
         fast = L.sample_mask_int(L.to_int(mask), p, np.random.default_rng(seed))
-        ref = L._scalar_sample_mask(mask, p, np.random.default_rng(seed))
+        ref = scalar_sample_mask(mask, p, np.random.default_rng(seed))
         assert fast == L.to_int(ref)
 
     @given(masks, probabilities, seeds)
@@ -91,7 +97,7 @@ class TestSampleMask:
         fast_rng = np.random.default_rng(seed)
         ref_rng = np.random.default_rng(seed)
         L.sample_mask(mask, p, fast_rng)
-        L._scalar_sample_mask(mask, p, ref_rng)
+        scalar_sample_mask(mask, p, ref_rng)
         assert fast_rng.random() == ref_rng.random()
 
     def test_empty_candidates_draw_nothing(self):
@@ -124,7 +130,7 @@ class TestBatchedSamplers:
         batched = L.sample_masks(stacked, p, np.random.default_rng(seed))
         seq_rng = np.random.default_rng(seed)
         for r, row in enumerate(rows):
-            expected = L._scalar_sample_mask(row, p, seq_rng)
+            expected = scalar_sample_mask(row, p, seq_rng)
             assert np.array_equal(batched[r], expected)
 
     @settings(max_examples=150)
@@ -134,7 +140,7 @@ class TestBatchedSamplers:
         batched = L.sample_masks_int(values, p, np.random.default_rng(seed))
         seq_rng = np.random.default_rng(seed)
         for r, row in enumerate(rows):
-            expected = L._scalar_sample_mask(row, p, seq_rng)
+            expected = scalar_sample_mask(row, p, seq_rng)
             assert batched[r] == L.to_int(expected)
 
     @given(st.lists(masks, max_size=5), seeds)
@@ -148,7 +154,7 @@ class TestBatchedSamplers:
         seq_rng = np.random.default_rng(seed)
         L.sample_masks(stacked, 0.5, batched_rng)
         for row in rows:
-            L._scalar_sample_mask(row, 0.5, seq_rng)
+            scalar_sample_mask(row, 0.5, seq_rng)
         assert batched_rng.random() == seq_rng.random()
 
     def test_empty_batch(self):
@@ -187,7 +193,7 @@ class TestRowKernels:
         batched = L.sample_masks_rows(stacked, p, np.random.default_rng(seed))
         seq_rng = np.random.default_rng(seed)
         for r, row in enumerate(rows):
-            expected = L._scalar_sample_mask(row, p, seq_rng)
+            expected = scalar_sample_mask(row, p, seq_rng)
             assert np.array_equal(batched[r], expected)
 
     @given(st.lists(masks, max_size=5), seeds)
@@ -201,7 +207,7 @@ class TestRowKernels:
         seq_rng = np.random.default_rng(seed)
         L.sample_masks_rows(stacked, 0.5, batched_rng)
         for row in rows:
-            L._scalar_sample_mask(row, 0.5, seq_rng)
+            scalar_sample_mask(row, 0.5, seq_rng)
         assert batched_rng.random() == seq_rng.random()
 
     @settings(max_examples=100)
