@@ -18,7 +18,6 @@ Knobs parsed here:
 ``REPRO_CACHE``        ``0`` disables the disk result cache (on)
 ``REPRO_CACHE_DIR``    result-cache directory (``~/.cache/repro``)
 ``REPRO_PROFILE``      non-``0``/empty enables fine-grained phase timing (off)
-``REPRO_PIPELINE``     ``0`` disables cross-experiment pipelining (on)
 ``REPRO_BATCH_CELLS``  cells per batched pool dispatch (int >= 1; 8)
 ``REPRO_PLAN``         execution planner mode: ``auto``/``serial``/``pool``/
                        ``batch`` (auto)
@@ -162,11 +161,6 @@ def cache_dir() -> Path:
 def profile_fine() -> bool:
     """Whether fine-grained phase timing is on (``REPRO_PROFILE``)."""
     return os.environ.get("REPRO_PROFILE", "") not in ("", "0")
-
-
-def pipeline_enabled() -> bool:
-    """Whether cross-experiment pipelining is on (``REPRO_PIPELINE``)."""
-    return env_flag("REPRO_PIPELINE", True)
 
 
 #: Legal values for ``REPRO_PLAN`` / ``--plan`` / ``CellRunner(plan=...)``.

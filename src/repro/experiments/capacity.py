@@ -66,7 +66,3 @@ def run_experiment() -> ExperimentResult:
         "literal count ratio is 44% ((18-10)/18) — we report the computed value"
     )
     return result
-
-
-if __name__ == "__main__":
-    print(run_experiment().render())

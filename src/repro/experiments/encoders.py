@@ -97,7 +97,3 @@ def run_experiment(
         "few extra cells for fewer disturbance-vulnerable patterns [10]"
     )
     return result
-
-
-if __name__ == "__main__":
-    print(run_experiment(length=500).render())

@@ -41,7 +41,3 @@ def run_experiment(feature_nm: float = 20.0) -> ExperimentResult:
         f"WD onset node: {onset:.1f} nm (paper: first observed at 54 nm [15])"
     )
     return result
-
-
-if __name__ == "__main__":
-    print(run_experiment().render())

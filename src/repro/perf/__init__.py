@@ -16,7 +16,6 @@ from .engine import (
     configure,
     default_jobs,
     get_runner,
-    use_runner,
 )
 from .pool import WARM_POOL, WarmPool
 
@@ -32,5 +31,4 @@ __all__ = [
     "configure",
     "default_jobs",
     "get_runner",
-    "use_runner",
 ]

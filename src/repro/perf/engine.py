@@ -387,7 +387,6 @@ class CellRunner:
         ) or None
         #: Prefetched cells still cooking in the warm pool, by cache key.
         self._inflight: Dict[str, Future] = {}
-        self._inflight_specs: Dict[str, CellSpec] = {}
 
     # -- the batched entry point ------------------------------------------
 
@@ -480,7 +479,6 @@ class CellRunner:
                     # run through the normal ladder when their batch comes.
                     break
                 self._inflight[key] = future
-                self._inflight_specs[key] = spec
             submitted += 1
         STATS.prefetched += submitted
         return submitted
@@ -490,7 +488,6 @@ class CellRunner:
         for future in self._inflight.values():
             future.cancel()
         self._inflight.clear()
-        self._inflight_specs.clear()
 
     def _collect_inflight(
         self, keys: List[str], results: Dict[str, SimulationResult]
@@ -499,8 +496,6 @@ class CellRunner:
         if not keys:
             return []
         futures = {key: self._inflight.pop(key) for key in keys}
-        for key in keys:
-            self._inflight_specs.pop(key, None)
         payloads, failed, hung, broken = self._collect_futures(futures)
         for key, (result, phases) in payloads.items():
             PROFILER.merge(phases)
@@ -1008,22 +1003,6 @@ def configure(jobs: Optional[int] = None,
         kernel_backend=kernel_backend,
     )
     return _configured
-
-
-@contextmanager
-def use_runner(runner):
-    """Temporarily install ``runner`` as the session runner.
-
-    The sweep planner uses this to swap in a spec-recording stub while
-    it walks experiment preambles; anything exposing ``run_cells`` fits.
-    """
-    global _configured
-    previous = _configured
-    _configured = runner
-    try:
-        yield runner
-    finally:
-        _configured = previous
 
 
 def reset() -> None:

@@ -17,7 +17,7 @@ def _clean_env(monkeypatch):
     for name in (
         "REPRO_JOBS", "REPRO_RETRIES", "REPRO_CELL_TIMEOUT",
         "REPRO_RETRY_BACKOFF", "REPRO_TRACE_LEN", "REPRO_CORES",
-        "REPRO_CACHE", "REPRO_CACHE_DIR", "REPRO_PROFILE", "REPRO_PIPELINE",
+        "REPRO_CACHE", "REPRO_CACHE_DIR", "REPRO_PROFILE",
         "REPRO_BATCH_CELLS", "REPRO_PLAN", "REPRO_STATE_PLANE",
         "REPRO_KERNEL_BACKEND", "REPRO_KERNEL_CC",
         "REPRO_HEARTBEAT_S", "REPRO_MEM_BUDGET_MB",
@@ -116,13 +116,10 @@ class TestAccessors:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert envconfig.cache_dir() == tmp_path
 
-    def test_profile_and_pipeline_flags(self, monkeypatch):
+    def test_profile_flag(self, monkeypatch):
         assert envconfig.profile_fine() is False
         monkeypatch.setenv("REPRO_PROFILE", "1")
         assert envconfig.profile_fine() is True
-        assert envconfig.pipeline_enabled() is True
-        monkeypatch.setenv("REPRO_PIPELINE", "0")
-        assert envconfig.pipeline_enabled() is False
 
     def test_batch_cells(self, monkeypatch):
         assert envconfig.batch_cells() == 8

@@ -2,8 +2,9 @@
 
 The contract under test: a sweep killed mid-experiment and restarted
 with ``--resume`` renders **byte-identical tables** no matter which
-planner mode (serial / pool / batch / auto) or pipelining setting the
-interrupted and resumed runs used.  The interrupt lands in the parent
+planner mode (serial / pool / batch / auto) the interrupted and resumed
+runs used.  ``pool`` and ``auto`` prefetch the sweep's cells into the warm
+pool; forced ``serial`` and ``batch`` never do.  The interrupt lands in the parent
 process via a cache ``store_async`` that raises ``KeyboardInterrupt``
 after N stores — portable across all plan modes, and mid-experiment by
 construction (figure4 stores nine cells).
@@ -60,15 +61,9 @@ class _InterruptAfterStores:
         return store_async
 
 
-@pytest.mark.parametrize("plan,no_pipeline", [
-    ("serial", True),
-    ("pool", False),
-    ("batch", False),
-    ("batch", True),
-    ("auto", False),
-])
+@pytest.mark.parametrize("plan", ["serial", "pool", "batch", "auto"])
 def test_kill_midexperiment_then_resume_byte_identical(
-    plan, no_pipeline, tmp_path, monkeypatch, capsys, small_sweep_env
+    plan, tmp_path, monkeypatch, capsys, small_sweep_env
 ):
     # Ground truth: a clean serial run in its own cache universe.
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "ref-cache"))
@@ -82,8 +77,6 @@ def test_kill_midexperiment_then_resume_byte_identical(
     bomb = _InterruptAfterStores(after=3)
     monkeypatch.setattr(cache_mod.ResultCache, "store_async", bomb.method())
     argv = ["--jobs", "2", "--plan", plan]
-    if no_pipeline:
-        argv.append("--no-pipeline")
     assert runner.main(argv + SWEEP) == 130
     out = capsys.readouterr().out
     assert "interrupted after 0/2" in out
