@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -75,3 +78,34 @@ class TestExperiment:
     def test_unknown_experiment(self, capsys):
         rc = main(["experiment", "figure99"])
         assert rc == 2
+
+    def test_parser_imports_no_experiment_module(self):
+        """Only `repro experiment` pays for importing the experiments."""
+        code = (
+            "import sys; from repro import cli; cli._build_parser(); "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('repro.experiments.') "
+            "and m != 'repro.experiments.options'))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_experiment_takes_the_runner_options(self, tmp_path, monkeypatch,
+                                                 capsys):
+        """`repro experiment` is the runner: no names runs every
+        registered experiment, and `--json DIR` exports each table."""
+        from repro.experiments import runner
+
+        monkeypatch.setattr(runner, "EXPERIMENTS", {
+            name: runner.EXPERIMENTS[name] for name in ("table1", "overhead")
+        })
+        out_dir = tmp_path / "tables"
+        assert main(["experiment", "--json", str(out_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "Table 1" in out and "table1 finished" in out
+        assert "overhead finished" in out
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "overhead.json", "table1.json",
+        ]
